@@ -122,7 +122,7 @@ RowResult drive(int workers, int sessions, int concurrency, bool multiproc) {
   config.cache_capacity = 512;
   config.queue.max_queued_per_tenant = 64;
   if (multiproc) {
-    config.executor.mode = pdc::lab::ExecMode::Socket;
+    config.exec_mode = pdc::lab::ExecMode::Socket;
     config.shard.worker_bin = PDCLAB_BENCH_WORKER_BIN;
     config.shard.heartbeat_ms = 50;
     // The monkey kills round-robin on a fixed cadence; a loaded one-core

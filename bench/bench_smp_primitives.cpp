@@ -26,15 +26,10 @@ void BM_ForkJoin(benchmark::State& state) {
 BENCHMARK(BM_ForkJoin)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // The fork-join hot-path acceptance measurement: per-region overhead of a
-// repeated small parallel_for at p=8, cached worker team (arg 1) vs the
-// spawn-per-region baseline engine (arg 0: fresh threads per region plus
-// the pre-overhaul mutex+CV barrier — what every region paid before this
-// engine). The work per region is deliberately tiny (~0.2 us serially) so
-// the region machinery dominates; compare the two time/iter numbers
-// directly.
+// repeated small parallel_for at p=8 on the cached worker team. The work per
+// region is deliberately tiny (~0.2 us serially) so the region machinery
+// dominates.
 void BM_RegionPerParallelFor(benchmark::State& state) {
-  const bool cached = state.range(0) != 0;
-  smp::set_team_reuse(cached);
   std::vector<double> data(1024, 1.0);
   for (auto _ : state) {
     smp::parallel_for_ranges(
@@ -47,10 +42,8 @@ void BM_RegionPerParallelFor(benchmark::State& state) {
         smp::Schedule::static_blocks(), 8);
     benchmark::DoNotOptimize(data.data());
   }
-  smp::set_team_reuse(true);
-  state.SetLabel(cached ? "cached team" : "spawn per region");
 }
-BENCHMARK(BM_RegionPerParallelFor)->Arg(1)->Arg(0);
+BENCHMARK(BM_RegionPerParallelFor);
 
 // Barrier round-trip cost as the team grows: `rounds` arrive_and_wait
 // cycles inside one region, reported per round. Exercises the centralized

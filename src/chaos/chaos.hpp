@@ -240,10 +240,21 @@ class BoundScope {
 
 // ---- actor identity ------------------------------------------------------
 
-/// Actor lanes: mp ranks use their world rank directly; smp threads get
-/// offset lanes so a hybrid job's streams never collide.
-inline constexpr int kTeamActorBase = 1 << 16;  ///< smp::parallel members
-inline constexpr int kPoolActorBase = 1 << 17;  ///< ThreadPool workers
+/// Actor lanes. mp ranks use their world rank directly; every other
+/// subsystem owns a lane (or a base plus its thread index) far above any
+/// rank, so a hybrid job's streams never collide and a targeted abort on
+/// one subsystem never also kills another's thread. The values key the
+/// seeded decision streams: changing one changes every plan on that lane.
+enum ActorLane : int {
+  kTeamActorBase = 1 << 16,  ///< smp::parallel member t: base + t
+  kPoolActorBase = 1 << 17,  ///< ThreadPool worker w: base + w
+  /// lab server session readers (one shared lane: each thread keeps its
+  /// own decision counter)
+  kLabAdmitActor = 1 << 18,
+  kLabWorkerActorBase = (1 << 18) + 1,  ///< lab server worker w: base + w
+  kGradeActorBase = 1 << 19,            ///< grader worker w: base + w
+  kStoreActor = 1 << 20,  ///< store WAL appends, syncs and compactions
+};
 
 /// The calling thread's chaos lane (0 when outside any scope).
 [[nodiscard]] int current_actor() noexcept;

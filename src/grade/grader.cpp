@@ -255,7 +255,7 @@ Report grade_corpus(const std::vector<MutantSpec>& corpus,
   std::atomic<std::size_t> next{0};
 
   const auto worker = [&](int w) {
-    chaos::ActorScope lane(kGradeActorBase + w);
+    chaos::ActorScope lane(chaos::kGradeActorBase + w);
     CohortStats& shard = shards[static_cast<std::size_t>(w)];
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);

@@ -12,11 +12,6 @@
 
 namespace pdc::grade {
 
-/// Chaos lane of grader worker w (kGradeActorBase + w): above the smp team
-/// (1<<16), pool (1<<17) and lab (1<<18) lanes, so a chaos plan can target
-/// the grader's dispatch loop without touching any other subsystem.
-inline constexpr int kGradeActorBase = 1 << 19;
-
 struct Grade;
 
 /// Knobs of one grading batch.
@@ -127,9 +122,9 @@ Grade grade_one(const MutantSpec& spec, const GraderConfig& cfg);
 
 /// Grade a corpus on a fleet of cfg.workers threads. Work is claimed from a
 /// shared index; each claim passes the chaos::on_op("grade.dispatch")
-/// checkpoint on the worker's kGradeActorBase lane, and an injected abort
-/// there redispatches the submission, so a hostile chaos plan can hammer
-/// the dispatch path without losing a single verdict.
+/// checkpoint on the worker's chaos::kGradeActorBase lane, and an injected
+/// abort there redispatches the submission, so a hostile chaos plan can
+/// hammer the dispatch path without losing a single verdict.
 Report grade_corpus(const std::vector<MutantSpec>& corpus,
                     const GraderConfig& cfg);
 

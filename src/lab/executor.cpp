@@ -9,7 +9,6 @@
 #include "exemplars/montecarlo.hpp"
 #include "grade/grader.hpp"
 #include "mp/runtime.hpp"
-#include "net/harness.hpp"
 #include "notebook/engine.hpp"
 #include "patternlets/mpi_programs.hpp"
 #include "support/error.hpp"
@@ -20,14 +19,6 @@ namespace pdc::lab {
 using protocol::JobKind;
 using protocol::Result;
 using protocol::Submit;
-
-const char* exec_mode_name(ExecMode mode) noexcept {
-  switch (mode) {
-    case ExecMode::Inline: return "inline";
-    case ExecMode::Socket: return "socket";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -190,36 +181,21 @@ Result Executor::execute(const Submit& submit, const LineSink& on_line) const {
           notebook::ProgramRegistry::mpi4py_standard());
       result.output = engine.execute_source(submit.source);
     } else if (submit.kind == JobKind::Grade) {
-      // Grade the mutant inline regardless of ExecMode: the grader owns its
-      // schedule exploration (bound chaos plans over mp::run), and its
-      // canonical line is deterministic — exactly what the result cache
-      // wants to share across a class re-running the same submission.
+      // The grader owns its schedule exploration (bound chaos plans over
+      // mp::run), and its canonical line is deterministic — exactly what
+      // the result cache wants to share across a class re-running the
+      // same submission.
       const grade::MutantSpec spec = grade::MutantSpec::parse(submit.name);
       const grade::Grade graded = grade::grade_one(spec, grade_config(submit));
       result.output.push_back(graded.to_line());
       if (!graded.detail.empty()) {
         result.output.push_back("detail: " + graded.detail);
       }
-    } else if (config_.mode == ExecMode::Inline) {
+    } else {
       mp::RunConfig run_config;
       run_config.num_procs = submit.np;
       run_config.on_output = on_line;
       result.output = mp::run(run_config, rank_program(submit)).output;
-    } else {
-      net::ClusterOptions options;
-      options.np = submit.np;
-      options.job = "lab-" + std::to_string(protocol::digest(submit));
-      options.on_output = on_line;
-      const net::ClusterResult cluster =
-          net::run_socket_cluster(options, rank_program(submit));
-      if (!cluster.ok()) {
-        for (const auto& error : cluster.errors) {
-          if (!error.empty()) {
-            throw Error("rank failed: " + error);
-          }
-        }
-      }
-      result.output = cluster.merged();
     }
     result.exit_code = 0;
   } catch (const std::exception& error) {

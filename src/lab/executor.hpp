@@ -8,17 +8,7 @@
 
 namespace pdc::lab {
 
-/// How the worker fleet realizes a job's ranks.
-enum class ExecMode {
-  Inline,  ///< mp::run — loopback transport, rank-per-thread (fast path)
-  Socket,  ///< net::run_socket_cluster — real PDCN sockets per rank pair,
-           ///< the byte-for-byte pdcrun wire path
-};
-
-const char* exec_mode_name(ExecMode mode) noexcept;
-
 struct ExecutorConfig {
-  ExecMode mode = ExecMode::Inline;
   /// Upper bound accepted for Submit::np (the Colab VM would not launch
   /// more — notebook/EngineConfig has the same knob).
   int max_np = protocol::kMaxProcs;
@@ -26,7 +16,7 @@ struct ExecutorConfig {
 
 /// Turns one validated Submit into a Result by running it on the matching
 /// engine: patternlet rank programs and exemplar kernels on the mp runtime
-/// (loopback or socket transport per ExecMode), notebook cell source on a
+/// (mp::run, rank-per-thread over loopback), notebook cell source on a
 /// fresh per-job ExecutionEngine (its virtual filesystem is the tenant
 /// isolation boundary). Stateless apart from the execution counter; safe to
 /// call from every worker thread concurrently.
@@ -40,8 +30,8 @@ class Executor {
   void validate(const protocol::Submit& submit) const;
 
   /// A live-output observer: called once per printed line, as the job
-  /// runs. Socket-mode jobs call it concurrently from every rank thread,
-  /// so the sink must be thread-safe.
+  /// runs, from whichever rank thread printed. mp::run enters it under the
+  /// universe's log mutex, so calls never overlap and arrive in log order.
   using LineSink = std::function<void(const std::string&)>;
 
   /// Run the job. Never throws: a failing program (including an injected

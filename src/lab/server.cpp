@@ -18,6 +18,14 @@ using protocol::RejectCode;
 using protocol::Result;
 using protocol::Submit;
 
+const char* exec_mode_name(ExecMode mode) noexcept {
+  switch (mode) {
+    case ExecMode::Inline: return "inline";
+    case ExecMode::Socket: return "socket";
+  }
+  return "?";
+}
+
 namespace {
 constexpr int kListenBacklog = 64;
 
@@ -105,7 +113,7 @@ void Server::start() {
   // ExecMode::Socket: each worker thread fronts a forked worker *process*
   // (slot w serves thread w), so a crashing or hanging job takes down one
   // process, not the server. Inline keeps the historic in-process shape.
-  if (config_.executor.mode == ExecMode::Socket) {
+  if (config_.exec_mode == ExecMode::Socket) {
     WorkerPoolConfig shard = config_.shard;
     shard.workers = config_.workers;
     shard.executor = config_.executor;
@@ -243,7 +251,7 @@ void Server::accept_loop() {
 void Server::session_loop(const std::shared_ptr<Session>& session) {
   // Admission decisions (the "lab.admit" checkpoint) draw from the lab's
   // admission chaos lane, not lane 0 — which belongs to mp rank 0.
-  chaos::ActorScope actor(kLabAdmitActor);
+  chaos::ActorScope actor(chaos::kLabAdmitActor);
   try {
     wire::Header header;
     mp::Bytes body;
@@ -517,7 +525,7 @@ void Server::reject(const std::shared_ptr<Session>& session, RejectCode code,
 void Server::worker_loop(int worker_index) {
   // Each worker draws from its own deterministic chaos stream, like a pool
   // worker or an mp rank would.
-  chaos::ActorScope actor(kLabWorkerActorBase + worker_index);
+  chaos::ActorScope actor(chaos::kLabWorkerActorBase + worker_index);
   while (auto job = queue_.pop()) {
     trace::Counter("lab.queue_depth").add(-1.0);
     set_job_state(job->id, JobState::Running);

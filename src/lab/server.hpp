@@ -22,14 +22,14 @@
 
 namespace pdc::lab {
 
-/// Chaos lanes for the lab server (mp ranks use low lanes, smp teams
-/// 1<<16, pools 1<<17 — see chaos.hpp). Session reader threads share the
-/// admission lane (each thread keeps its own decision counter); worker `w`
-/// gets its own lane above it. Distinct from the rank lanes on purpose: a
-/// targeted abort at "lab.admit"/"lab.dispatch" must not also kill rank 0
-/// of the jobs the fleet is executing.
-inline constexpr int kLabAdmitActor = 1 << 18;
-inline constexpr int kLabWorkerActorBase = (1 << 18) + 1;
+/// Where the server's worker threads run an admitted job.
+enum class ExecMode {
+  Inline,  ///< on the worker thread itself, through the server's Executor
+  Socket,  ///< in the worker thread's forked pdclab worker process (the
+           ///< WorkerPool), reached over a private unix socket
+};
+
+const char* exec_mode_name(ExecMode mode) noexcept;
 
 struct ServerConfig {
   /// Where to listen. Unix path or TCP host:port (port 0 = ephemeral; read
@@ -44,6 +44,11 @@ struct ServerConfig {
   /// firewall lockout — the paper's "eager beaver" incident, served cold.
   std::string token = "hands-on";
 
+  /// Where admitted jobs run (`pdclab serve --executor inline|socket`).
+  ExecMode exec_mode = ExecMode::Inline;
+
+  /// Admission limits for the server's Executor; in Socket mode they are
+  /// also forwarded to every worker process.
   ExecutorConfig executor;
 
   /// Shard-pool knobs for ExecMode::Socket, where each worker thread owns

@@ -145,7 +145,6 @@ void WorkerPool::spawn_locked(Slot& slot) {
   const std::string slot_arg = std::to_string(slot.index);
   const std::string max_np_arg = std::to_string(config_.executor.max_np);
   const std::string heartbeat_arg = std::to_string(config_.heartbeat_ms);
-  const char* executor_arg = exec_mode_name(config_.executor.mode);
 
   const pid_t pid = ::fork();
   if (pid < 0) throw net::ConnectionError("lab shard: fork failed");
@@ -155,9 +154,9 @@ void WorkerPool::spawn_locked(Slot& slot) {
     // never holds another connection open past its owner, then exec.
     for (int fd = 3; fd < 1024; ++fd) ::close(fd);
     ::execl(worker_bin_.c_str(), "pdclab", "worker", "--connect",
-            endpoint_arg.c_str(), "--slot", slot_arg.c_str(), "--executor",
-            executor_arg, "--max-np", max_np_arg.c_str(), "--heartbeat-ms",
-            heartbeat_arg.c_str(), static_cast<char*>(nullptr));
+            endpoint_arg.c_str(), "--slot", slot_arg.c_str(), "--max-np",
+            max_np_arg.c_str(), "--heartbeat-ms", heartbeat_arg.c_str(),
+            static_cast<char*>(nullptr));
     ::_exit(127);  // exec failed; the parent sees EOF-before-Hello
   }
 

@@ -31,7 +31,7 @@ struct WorkerPoolConfig {
   /// process itself is pdclab. Throws at start() when nothing resolves.
   std::string worker_bin;
 
-  /// Forwarded to each worker's own Executor (--executor / --max-np).
+  /// Forwarded to each worker's own Executor (--max-np).
   ExecutorConfig executor;
 
   /// fork → accepted connection + Hello deadline. A binary that is not a

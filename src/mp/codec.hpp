@@ -51,7 +51,9 @@ template <>
 struct Codec<std::string> {
   static Bytes encode(const std::string& value) {
     Bytes out(value.size());
-    std::memcpy(out.data(), value.data(), value.size());
+    if (!value.empty()) {
+      std::memcpy(out.data(), value.data(), value.size());
+    }
     return out;
   }
   static std::string decode(const Bytes& in) {

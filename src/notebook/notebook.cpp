@@ -9,14 +9,14 @@ Notebook::Notebook(std::string title) : title_(std::move(title)) {
   if (title_.empty()) throw InvalidArgument("Notebook: title required");
 }
 
-Cell& Notebook::add_markdown(std::string source) {
+std::size_t Notebook::add_markdown(std::string source) {
   cells_.push_back(Cell{CellKind::Markdown, std::move(source), {}, 0});
-  return cells_.back();
+  return cells_.size() - 1;
 }
 
-Cell& Notebook::add_code(std::string source) {
+std::size_t Notebook::add_code(std::string source) {
   cells_.push_back(Cell{CellKind::Code, std::move(source), {}, 0});
-  return cells_.back();
+  return cells_.size() - 1;
 }
 
 std::size_t Notebook::code_cell_count() const {

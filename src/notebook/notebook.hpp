@@ -23,11 +23,12 @@ class Notebook {
  public:
   explicit Notebook(std::string title);
 
-  /// Append a markdown (text) cell.
-  Cell& add_markdown(std::string source);
+  /// Append a markdown (text) cell; returns its index in cells(). An index,
+  /// not a reference: the next add may reallocate the cell vector.
+  std::size_t add_markdown(std::string source);
 
-  /// Append a code cell.
-  Cell& add_code(std::string source);
+  /// Append a code cell; returns its index in cells().
+  std::size_t add_code(std::string source);
 
   [[nodiscard]] const std::string& title() const noexcept { return title_; }
   [[nodiscard]] std::vector<Cell>& cells() noexcept { return cells_; }

@@ -68,47 +68,4 @@ void CyclicBarrier::poison() noexcept {
   phase_.notify_all();
 }
 
-LegacyCyclicBarrier::LegacyCyclicBarrier(std::size_t parties)
-    : parties_(parties) {
-  if (parties == 0) {
-    throw InvalidArgument("LegacyCyclicBarrier requires at least one party");
-  }
-}
-
-std::size_t LegacyCyclicBarrier::arrive_and_wait() {
-  // Same chaos/trace instrumentation as the sense-reversing barrier: the
-  // baseline engine must answer the same hostile schedules and show up in
-  // the same trace lanes so the two engines stay comparable.
-  chaos::on_schedule_point("smp.barrier");
-  chaos::on_op("smp.barrier");
-  trace::Span span("smp.barrier", "smp.sync");
-
-  std::unique_lock lock(mutex_);
-  if (poisoned()) {
-    throw TeamAborted("smp: barrier poisoned before arrival");
-  }
-  const std::size_t my_index = arrived_++;
-  if (arrived_ == parties_) {
-    arrived_ = 0;
-    ++generation_;
-    released_.notify_all();
-    return my_index;
-  }
-  const std::size_t my_generation = generation_;
-  released_.wait(lock,
-                 [&] { return generation_ != my_generation || poisoned(); });
-  if (generation_ == my_generation) {
-    throw TeamAborted("smp: barrier poisoned while waiting");
-  }
-  return my_index;
-}
-
-void LegacyCyclicBarrier::poison() noexcept {
-  // Store under the mutex so a waiter either re-checks its predicate after
-  // we unlock (and sees the flag) or was already released.
-  std::lock_guard lock(mutex_);
-  poisoned_.store(true, std::memory_order_release);
-  released_.notify_all();
-}
-
 }  // namespace pdc::smp

@@ -1,10 +1,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <thread>
 
 #include "support/error.hpp"
@@ -108,49 +106,6 @@ class CyclicBarrier {
   /// line: waiters poll it while arrivers hammer arrived_.
   alignas(64) std::atomic<std::uint32_t> phase_{0};
   std::atomic<bool> poisoned_{false};
-};
-
-/// The pre-overhaul barrier: a mutex + condition-variable generation
-/// barrier, preserved verbatim (plus poison support, which the hang-free
-/// guarantee requires in every mode) as the synchronization half of the
-/// spawn-per-region baseline engine. A Team built while team_reuse() is
-/// off uses this instead of the sense-reversing CyclicBarrier, so
-/// PDCLAB_SMP_REUSE=0 reproduces the full per-region cost fork-join code
-/// paid before the cached team existed — thread spawns *and* the barrier
-/// mutex convoy — and bench_smp_primitives can A/B the whole overhaul, not
-/// just the thread-reuse third of it.
-class LegacyCyclicBarrier {
- public:
-  /// A barrier for `parties` threads. Requires parties >= 1.
-  explicit LegacyCyclicBarrier(std::size_t parties);
-
-  LegacyCyclicBarrier(const LegacyCyclicBarrier&) = delete;
-  LegacyCyclicBarrier& operator=(const LegacyCyclicBarrier&) = delete;
-
-  /// Block until all `parties` threads have arrived; returns the arrival
-  /// index within this cycle. Throws TeamAborted if the barrier is (or
-  /// becomes) poisoned.
-  std::size_t arrive_and_wait();
-
-  /// Wake every waiter and make every subsequent arrival throw
-  /// TeamAborted. Idempotent; safe from any thread.
-  void poison() noexcept;
-
-  /// Whether poison() has been called.
-  [[nodiscard]] bool poisoned() const noexcept {
-    return poisoned_.load(std::memory_order_acquire);
-  }
-
-  /// Number of participating threads.
-  [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
-
- private:
-  const std::size_t parties_;
-  std::mutex mutex_;
-  std::condition_variable released_;
-  std::size_t arrived_ = 0;
-  std::size_t generation_ = 0;
-  std::atomic<bool> poisoned_{false};  ///< written under mutex_, read free
 };
 
 }  // namespace pdc::smp

@@ -13,9 +13,6 @@ std::atomic<std::size_t> g_override{0};
 // Spin override: kSpinAuto means "unset", anything else is the value.
 std::atomic<std::size_t> g_spin_override{kSpinAuto};
 
-// Reuse override: -1 unset, 0 disabled, 1 enabled.
-std::atomic<int> g_reuse_override{-1};
-
 std::size_t env_num_threads() {
   if (const char* env = std::getenv("PDC_NUM_THREADS")) {
     const long parsed = std::strtol(env, nullptr, 10);
@@ -56,20 +53,6 @@ std::size_t spin_limit() {
 
 void set_spin_limit(std::size_t n) {
   g_spin_override.store(n, std::memory_order_relaxed);
-}
-
-bool team_reuse() {
-  if (const int o = g_reuse_override.load(std::memory_order_relaxed); o >= 0) {
-    return o != 0;
-  }
-  if (const char* env = std::getenv("PDCLAB_SMP_REUSE")) {
-    return std::strtol(env, nullptr, 10) != 0;
-  }
-  return true;
-}
-
-void set_team_reuse(bool on) {
-  g_reuse_override.store(on ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace pdc::smp

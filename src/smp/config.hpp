@@ -37,16 +37,4 @@ std::size_t spin_limit();
 /// the right setting for heavily oversubscribed hosts.
 void set_spin_limit(std::size_t n);
 
-/// Whether `parallel(...)` reuses the process-wide cached worker team
-/// (parked threads woken per region) instead of constructing and joining
-/// fresh std::threads per region. Defaults to true; the PDCLAB_SMP_REUSE
-/// environment variable set to 0 selects the full pre-overhaul baseline
-/// engine — spawn-per-region threads *and* the old mutex+CV barrier — the
-/// before-state the fork-join microbenchmarks compare against.
-bool team_reuse();
-
-/// Programmatic override of team_reuse(), used by benchmarks to measure the
-/// spawn-per-region baseline from the same binary.
-void set_team_reuse(bool on);
-
 }  // namespace pdc::smp

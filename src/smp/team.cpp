@@ -15,10 +15,6 @@ Team::Team(std::size_t num_threads)
   if (num_threads == 0) {
     throw InvalidArgument("Team requires at least one thread");
   }
-  // Baseline engine: teams born in spawn-per-region mode also get the
-  // pre-overhaul mutex+CV barrier, so PDCLAB_SMP_REUSE=0 measures the old
-  // per-region cost faithfully (spawns + barrier convoy together).
-  if (!team_reuse()) legacy_barrier_.emplace(num_threads);
   // Ring entry i starts life serving construct i; the last departer of
   // construct id republishes its entry for id + kSlotRing.
   for (std::size_t i = 0; i < kSlotRing; ++i) {
@@ -84,7 +80,6 @@ void Team::depart_slot(std::uint64_t id) {
 void Team::poison() noexcept {
   aborted_.store(true, std::memory_order_release);
   barrier_.poison();
-  if (legacy_barrier_) legacy_barrier_->poison();
   // Taking each slot mutex orders the flag store against every
   // condition-variable wait: a waiter either re-checks its predicate after
   // we unlock (and sees the flag) or was already awake.
@@ -542,69 +537,54 @@ void parallel(std::size_t num_threads,
   using RunMember = decltype(run_member);
 
   if (n > 1) {
-    if (team_reuse()) {
-      control->remaining.store(static_cast<std::uint32_t>(n - 1),
-                               std::memory_order_relaxed);
-      std::vector<std::shared_ptr<WorkerSlot>> chain;
-      chain.reserve(n - 1);
-      WorkerCache::instance().dispatch_region(
-          [](const void* env, std::size_t thread_num) {
-            (*static_cast<const RunMember*>(env))(thread_num);
-          },
-          &run_member, control, 1, n, chain);
-      run_member(0);  // the calling thread is team member 0, as in OpenMP
+    control->remaining.store(static_cast<std::uint32_t>(n - 1),
+                             std::memory_order_relaxed);
+    std::vector<std::shared_ptr<WorkerSlot>> chain;
+    chain.reserve(n - 1);
+    WorkerCache::instance().dispatch_region(
+        [](const void* env, std::size_t thread_num) {
+          (*static_cast<const RunMember*>(env))(thread_num);
+        },
+        &run_member, control, 1, n, chain);
+    run_member(0);  // the calling thread is team member 0, as in OpenMP
 
-      // Back-steal: members the wake chain has not reached yet are run
-      // inline on this thread instead of waiting for their workers to be
-      // scheduled — on an oversubscribed host that turns a context-switch
-      // convoy into straight-line execution. Stealing in *reverse* chain
-      // order is what keeps it deadlock-free: the un-stolen prefix of the
-      // chain stays self-waking, and a job can be claimed by exactly one
-      // side because both take the slot mutex and the chain's wake skips a
-      // slot whose job is gone. Safe to run members inline here: member 0
-      // has completed, so every team-wide sync point in the body was
-      // already passed by all members — a still-unstarted member cannot be
-      // needed by anyone to make progress.
-      for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-        WorkerSlot& slot = **it;
-        Job stolen;
-        bool reclaim = false;
-        {
-          std::lock_guard lock(slot.mutex);
-          // The control check pins the steal to *this* region: a slot whose
-          // worker already ran our member and re-parked may have been
-          // re-drafted by a nested region, and that job is not ours to take.
-          if (slot.job.invoke && slot.job.control == control) {
-            stolen = std::move(slot.job);
-            slot.job = Job{};
-            // Epoch untouched since dispatch means the worker was never
-            // woken for this region: it is indistinguishable from a parked
-            // worker, so hand it back to the pool.
-            reclaim = slot.epoch.load(std::memory_order_relaxed) ==
-                      stolen.epoch_at_dispatch;
-          }
-        }
-        if (reclaim) WorkerCache::instance().reclaim(*it);
-        if (stolen.invoke) {
-          stolen.invoke(stolen.env, stolen.thread_num);
-          control->finish();
+    // Back-steal: members the wake chain has not reached yet are run
+    // inline on this thread instead of waiting for their workers to be
+    // scheduled — on an oversubscribed host that turns a context-switch
+    // convoy into straight-line execution. Stealing in *reverse* chain
+    // order is what keeps it deadlock-free: the un-stolen prefix of the
+    // chain stays self-waking, and a job can be claimed by exactly one
+    // side because both take the slot mutex and the chain's wake skips a
+    // slot whose job is gone. Safe to run members inline here: member 0
+    // has completed, so every team-wide sync point in the body was
+    // already passed by all members — a still-unstarted member cannot be
+    // needed by anyone to make progress.
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      WorkerSlot& slot = **it;
+      Job stolen;
+      bool reclaim = false;
+      {
+        std::lock_guard lock(slot.mutex);
+        // The control check pins the steal to *this* region: a slot whose
+        // worker already ran our member and re-parked may have been
+        // re-drafted by a nested region, and that job is not ours to take.
+        if (slot.job.invoke && slot.job.control == control) {
+          stolen = std::move(slot.job);
+          slot.job = Job{};
+          // Epoch untouched since dispatch means the worker was never
+          // woken for this region: it is indistinguishable from a parked
+          // worker, so hand it back to the pool.
+          reclaim = slot.epoch.load(std::memory_order_relaxed) ==
+                    stolen.epoch_at_dispatch;
         }
       }
-      control->wait_all_finished();
-    } else {
-      // Spawn-per-region baseline (PDCLAB_SMP_REUSE=0): fresh threads,
-      // joined at region end; the Team was likewise built with the legacy
-      // mutex+CV barrier. Together they reproduce what every fork-join
-      // region paid before this engine, kept measurable for the
-      // microbenchmarks.
-      std::vector<std::thread> workers;
-      workers.reserve(n - 1);
-      for (std::size_t t = 1; t < n; ++t) {
-        workers.emplace_back(run_member, t);
+      if (reclaim) WorkerCache::instance().reclaim(*it);
+      if (stolen.invoke) {
+        stolen.invoke(stolen.env, stolen.thread_num);
+        control->finish();
       }
-      run_member(0);
-      for (auto& worker : workers) worker.join();
     }
+    control->wait_all_finished();
   } else {
     run_member(0);
   }

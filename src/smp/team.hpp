@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,16 +46,10 @@ class Team {
   [[nodiscard]] std::size_t num_threads() const noexcept { return num_threads_; }
 
   /// Team-wide barrier arrival (also the implicit barrier of worksharing
-  /// constructs). Returns the arrival index within the cycle. A Team
-  /// constructed while team_reuse() is off routes this through the
-  /// preserved pre-overhaul mutex+CV barrier so the spawn-per-region
-  /// baseline reproduces the old engine end to end.
-  std::size_t arrive_and_wait() {
-    return legacy_barrier_ ? legacy_barrier_->arrive_and_wait()
-                           : barrier_.arrive_and_wait();
-  }
+  /// constructs). Returns the arrival index within the cycle.
+  std::size_t arrive_and_wait() { return barrier_.arrive_and_wait(); }
 
-  /// The team's sense-reversing barrier (the production engine's).
+  /// The team's sense-reversing barrier.
   CyclicBarrier& barrier() noexcept { return barrier_; }
 
   /// The mutex backing a named critical section; created on first use.
@@ -121,9 +114,6 @@ class Team {
 
   const std::size_t num_threads_;
   CyclicBarrier barrier_;
-  /// Engaged (and used instead of barrier_) when the Team was constructed
-  /// in spawn-per-region baseline mode; see arrive_and_wait().
-  std::optional<LegacyCyclicBarrier> legacy_barrier_;
   std::atomic<bool> aborted_{false};
 
   std::array<Slot, kSlotRing> slots_;
@@ -289,8 +279,7 @@ class TeamContext {
 /// run on the process-wide cached worker team: parked threads woken by an
 /// epoch bump, re-parked when the region ends — so a program entering a
 /// region per trial/batch (the forest-fire and integration exemplars) pays
-/// an unpark, not a thread spawn, per region. Set PDCLAB_SMP_REUSE=0 (or
-/// set_team_reuse(false)) to fall back to spawn-per-region.
+/// an unpark, not a thread spawn, per region.
 ///
 /// The first exception thrown by any member poisons the team — waking every
 /// sibling parked at a barrier/reduction/ordered wait with TeamAborted — and

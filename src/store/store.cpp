@@ -282,7 +282,7 @@ void Store::compact() {
 void Store::compact_locked() {
   // Same lane routing as Wal::append: decision 0 is "store.compact" (before
   // the tmp write), decision 1 "store.compact.swap" (before the rename).
-  chaos::ActorScope actor(kStoreActor);
+  chaos::ActorScope actor(chaos::kStoreActor);
   chaos::on_op("store.compact");
   mp::Bytes contents;
   for (const auto& [digest, record] : results_) {

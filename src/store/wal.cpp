@@ -208,7 +208,7 @@ void Wal::append(RecordKind kind, std::uint16_t flags, const mp::Bytes& body) {
   // 0 is "store.append", 1 "store.append.body", 2 "store.append.sync", so a
   // targeted plan can land an abort on any of the three torn states without
   // touching the caller's lane or counter.
-  chaos::ActorScope actor(kStoreActor);
+  chaos::ActorScope actor(chaos::kStoreActor);
   std::uint64_t my_lsn = 0;
   {
     std::lock_guard lock(write_mutex_);

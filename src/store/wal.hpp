@@ -10,14 +10,6 @@
 
 namespace pdc::store {
 
-/// Chaos lane of the persistence subsystem: above the mp ranks, the smp
-/// team (1<<16), pool (1<<17), lab (1<<18) and grade (1<<19) lanes, so a
-/// plan can abort an append or a compaction mid-write without touching any
-/// other subsystem. The kill-during-append sweep turns aborts injected on
-/// this lane into real `_exit()`s in a forked child — a torn tail the
-/// recovery path must survive byte-for-byte.
-inline constexpr int kStoreActor = 1 << 20;
-
 /// "PDCS", little-endian, first on every record. Same posture as the PDCN
 /// wire magic: a file that does not open with it is not a store log.
 inline constexpr std::uint32_t kWalMagic = 0x53434450;

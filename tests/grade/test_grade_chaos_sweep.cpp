@@ -88,7 +88,7 @@ TEST(GradeChaosSweep, TargetedDispatchAbortRedispatches) {
     // dispatch attempt against this corpus, so the abort always lands).
     chaos::Config config;  // no probabilistic faults at all
     config.seed = static_cast<std::uint64_t>(7000 + w);
-    config.abort_actor = kGradeActorBase + w;
+    config.abort_actor = chaos::kGradeActorBase + w;
     config.abort_at_op = 0;
 
     chaos::Scope scope(config);

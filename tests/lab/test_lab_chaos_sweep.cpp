@@ -114,7 +114,7 @@ TEST(LabChaosSweep, TargetedAdmissionAbortIsARejectNotAHang) {
       server.start();
       chaos::Config plan;
       plan.seed = static_cast<std::uint64_t>(seed);
-      plan.abort_actor = kLabAdmitActor;  // the session reader's lane
+      plan.abort_actor = chaos::kLabAdmitActor;  // the session reader's lane
       plan.abort_at_op = static_cast<std::uint64_t>(target);
       int overloaded = 0;
       {
@@ -162,7 +162,7 @@ TEST(LabChaosSweep, TargetedDispatchAbortFailsTheJobCleanly) {
       server.start();
       chaos::Config plan;
       plan.seed = static_cast<std::uint64_t>(seed);
-      plan.abort_actor = kLabWorkerActorBase;  // worker 0's lane
+      plan.abort_actor = chaos::kLabWorkerActorBase;  // worker 0's lane
       plan.abort_at_op = static_cast<std::uint64_t>(target);
       std::uint64_t killed_seed = 0;
       {
@@ -306,14 +306,14 @@ TEST(LabChaosSweep, MultiprocWorkerKillsLoseNoJobs) {
       ServerConfig config;
       config.endpoint = sweep_endpoint();
       config.workers = 1;  // one worker => dispatch order is queue order
-      config.executor.mode = ExecMode::Socket;
+      config.exec_mode = ExecMode::Socket;
       config.shard.worker_bin = PDCLAB_TEST_BIN;
       config.shard.heartbeat_ms = 50;
       Server server(std::move(config));
       server.start();
       chaos::Config plan;
       plan.seed = static_cast<std::uint64_t>(seed);
-      plan.abort_actor = kLabWorkerActorBase;
+      plan.abort_actor = chaos::kLabWorkerActorBase;
       plan.abort_at_op = static_cast<std::uint64_t>(2 * target + 1);
       {
         chaos::Scope scope(plan);

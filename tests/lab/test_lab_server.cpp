@@ -538,7 +538,7 @@ TEST(LabServer, StopIsIdempotentAndUnlinksTheSocketPath) {
 ServerConfig shard_config(int workers = 1) {
   ServerConfig config = test_config();
   config.workers = workers;
-  config.executor.mode = ExecMode::Socket;
+  config.exec_mode = ExecMode::Socket;
   config.shard.worker_bin = PDCLAB_TEST_BIN;
   config.shard.heartbeat_ms = 50;
   return config;

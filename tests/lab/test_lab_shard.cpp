@@ -148,12 +148,12 @@ TEST(LabShard, ChaosInjectedWorkerKillIsAbsorbedByRedispatch) {
   // which no longer matches, so the retry survives.
   chaos::Config plan;
   plan.seed = 1;
-  plan.abort_actor = kLabWorkerActorBase;
+  plan.abort_actor = chaos::kLabWorkerActorBase;
   plan.abort_at_op = 0;
   Result result;
   {
     chaos::Scope scope(plan);
-    chaos::ActorScope actor(kLabWorkerActorBase);
+    chaos::ActorScope actor(chaos::kLabWorkerActorBase);
     result = pool.execute(0, 4, spmd_submit(), nullptr);
   }
   EXPECT_EQ(result.exit_code, 0) << result.error;

@@ -132,7 +132,7 @@ TEST(PdclabCli, CancelQueuedJobExitsZero) {
   // lands. Socket mode: the hold hook lives in the forked worker.
   ::setenv("PDCLAB_TEST_HOLD_MS", "5000", 1);
   ServerConfig config = inline_config();
-  config.executor.mode = ExecMode::Socket;
+  config.exec_mode = ExecMode::Socket;
   config.shard.worker_bin = kBin;
   Server server(config);
   server.start();
@@ -212,7 +212,7 @@ TEST(PdclabCli, StreamedSubmitPrintsTheOutputExactlyOnce) {
   // Socket mode so the worker actually streams; --stream must not reprint
   // the terminal Result's copy of the lines after the live ones.
   ServerConfig config = inline_config();
-  config.executor.mode = ExecMode::Socket;
+  config.exec_mode = ExecMode::Socket;
   config.shard.worker_bin = kBin;
   Server server(config);
   server.start();

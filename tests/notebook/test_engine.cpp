@@ -157,14 +157,27 @@ TEST(Engine, ArbitraryPythonIsSkippedHonestly) {
 TEST(Engine, ExecuteUpdatesCellOutputsAndCount) {
   auto engine = standard_engine();
   Notebook nb("t");
-  Cell& markdown = nb.add_markdown("# heading");
-  Cell& code = nb.add_code("%%writefile f.py\nx");
-  engine.execute(markdown);
-  engine.execute(code);
-  EXPECT_EQ(markdown.execution_count, 0);
-  EXPECT_EQ(code.execution_count, 1);
-  ASSERT_EQ(code.outputs.size(), 1u);
-  EXPECT_EQ(code.outputs[0], "Writing f.py");
+  const std::size_t markdown = nb.add_markdown("# heading");
+  const std::size_t code = nb.add_code("%%writefile f.py\nx");
+  engine.execute(nb.cells()[markdown]);
+  engine.execute(nb.cells()[code]);
+  EXPECT_EQ(nb.cells()[markdown].execution_count, 0);
+  EXPECT_EQ(nb.cells()[code].execution_count, 1);
+  ASSERT_EQ(nb.cells()[code].outputs.size(), 1u);
+  EXPECT_EQ(nb.cells()[code].outputs[0], "Writing f.py");
+}
+
+TEST(Engine, AddedCellIndexesSurviveLaterAdds) {
+  // add_* hands back an index, not a reference into the cell vector: the
+  // adds after it reallocate that vector, and the index must still name
+  // the cell it was returned for.
+  Notebook nb("t");
+  const std::size_t first = nb.add_markdown("# first");
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(nb.add_code("!ls"), static_cast<std::size_t>(i) + 1);
+  }
+  EXPECT_EQ(nb.cells()[first].kind, CellKind::Markdown);
+  EXPECT_EQ(nb.cells()[first].source, "# first");
 }
 
 TEST(Engine, ExecutionCountsIncrease) {

@@ -127,20 +127,6 @@ TEST(AbortRegression, ChaosInjectedAbortPropagatesWithoutHanging) {
   EXPECT_EQ(scope.plan().fault_count(chaos::FaultKind::Abort), 1u);
 }
 
-TEST(AbortRegression, SpawnPerRegionModePropagatesToo) {
-  // The fallback path (PDCLAB_SMP_REUSE=0, fresh std::threads per region)
-  // shares the poison protocol; a throwing member must unwind it the same
-  // way the cached-team path does.
-  set_team_reuse(false);
-  expect_completes_with<InvalidArgument>([] {
-    parallel(4, [](TeamContext& ctx) {
-      if (ctx.thread_num() == 1) throw InvalidArgument("spawn-mode boom");
-      ctx.barrier();
-    });
-  });
-  set_team_reuse(true);
-}
-
 TEST(AbortRegression, CachedWorkersSurviveAnAbortedRegion) {
   // Poison dies with its Team: the workers that ran the aborted region
   // re-park and must serve later, healthy regions at full strength.

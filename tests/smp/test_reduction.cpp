@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "smp/parallel.hpp"
 
@@ -40,8 +41,27 @@ TEST(ParallelReduce, ProductReduction) {
   EXPECT_EQ(product, 3628800);  // 10!
 }
 
-class ReductionConsistencyTest
-    : public ::testing::TestWithParam<std::pair<Schedule, std::size_t>> {};
+struct Combo {
+  Schedule schedule;
+  std::size_t threads;
+};
+
+/// Names each combination from its values ("dynamic16_np4"); ctest takes
+/// the test id from this. Without it gtest prints the Schedule as raw
+/// bytes, padding included, and the ids change from one run to the next.
+void PrintTo(const Combo& c, std::ostream* os) {
+  switch (c.schedule.kind) {
+    case Schedule::Kind::Static: *os << "static_blocks"; break;
+    case Schedule::Kind::StaticChunk:
+      *os << "static_chunks" << c.schedule.chunk;
+      break;
+    case Schedule::Kind::Dynamic: *os << "dynamic" << c.schedule.chunk; break;
+    case Schedule::Kind::Guided: *os << "guided" << c.schedule.chunk; break;
+  }
+  *os << "_np" << c.threads;
+}
+
+class ReductionConsistencyTest : public ::testing::TestWithParam<Combo> {};
 
 TEST_P(ReductionConsistencyTest, AllSchedulesAgreeWithSerial) {
   const auto [sched, threads] = GetParam();
@@ -52,15 +72,14 @@ TEST_P(ReductionConsistencyTest, AllSchedulesAgreeWithSerial) {
   EXPECT_EQ(parallel_result, serial);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Combos, ReductionConsistencyTest,
-    ::testing::Values(
-        std::pair<Schedule, std::size_t>{Schedule::static_blocks(), 1},
-        std::pair<Schedule, std::size_t>{Schedule::static_blocks(), 4},
-        std::pair<Schedule, std::size_t>{Schedule::static_chunks(1), 4},
-        std::pair<Schedule, std::size_t>{Schedule::dynamic(16), 4},
-        std::pair<Schedule, std::size_t>{Schedule::guided(4), 4},
-        std::pair<Schedule, std::size_t>{Schedule::dynamic(1), 8}));
+INSTANTIATE_TEST_SUITE_P(Combos, ReductionConsistencyTest,
+                         ::testing::Values(
+                             Combo{Schedule::static_blocks(), 1},
+                             Combo{Schedule::static_blocks(), 4},
+                             Combo{Schedule::static_chunks(1), 4},
+                             Combo{Schedule::dynamic(16), 4},
+                             Combo{Schedule::guided(4), 4},
+                             Combo{Schedule::dynamic(1), 8}));
 
 TEST(ParallelReduce, DoubleSumIsAccurate) {
   // pi^2/6 via Basel series, enough terms for 1e-4 accuracy.

@@ -229,15 +229,5 @@ TEST(Config, SpinLimitOverrideRoundTrips) {
   EXPECT_EQ(spin_limit(), resolved);
 }
 
-TEST(Config, TeamReuseOverrideRoundTrips) {
-  set_team_reuse(false);
-  EXPECT_FALSE(team_reuse());
-  std::atomic<int> count{0};
-  parallel(3, [&](TeamContext&) { count.fetch_add(1); });  // spawn path
-  EXPECT_EQ(count.load(), 3);
-  set_team_reuse(true);
-  EXPECT_TRUE(team_reuse());
-}
-
 }  // namespace
 }  // namespace pdc::smp

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include "mp/message.hpp"
@@ -17,6 +18,10 @@ inline std::string fresh_dir(const std::string& tag) {
   const std::string dir = "/tmp/pdc-store-" + tag + "-" +
                           std::to_string(::getpid()) + "-" +
                           std::to_string(counter.fetch_add(1));
+  // Test processes never delete their directories, and pids recycle: a
+  // leftover from an earlier run with the same pid must not leak records
+  // into this test's store.
+  std::filesystem::remove_all(dir);
   ::mkdir(dir.c_str(), 0755);
   return dir;
 }

@@ -309,7 +309,7 @@ TEST(Store, CompactAbortedBeforeTheTmpWriteChangesNothing) {
   {
     chaos::Config plan;
     plan.seed = 1;
-    plan.abort_actor = kStoreActor;
+    plan.abort_actor = chaos::kStoreActor;
     plan.abort_at_op = 0;  // "store.compact", before the tmp write
     chaos::Scope scope(plan);
     EXPECT_THROW(store->compact(), chaos::InjectedAbort);
@@ -329,7 +329,7 @@ TEST(Store, CompactAbortedBeforeTheRenameLeavesTheOldStateAuthoritative) {
   {
     chaos::Config plan;
     plan.seed = 1;
-    plan.abort_actor = kStoreActor;
+    plan.abort_actor = chaos::kStoreActor;
     plan.abort_at_op = 1;  // "store.compact.swap", tmp written, not renamed
     chaos::Scope scope(plan);
     EXPECT_THROW(store->compact(), chaos::InjectedAbort);

@@ -204,7 +204,7 @@ TEST(StoreKillSweep, KillDuringAppendLosesNoAckedRecord) {
       }
       chaos::Config plan;
       plan.seed = seed;
-      plan.abort_actor = kStoreActor;
+      plan.abort_actor = chaos::kStoreActor;
       plan.abort_at_op = op;
       chaos::Scope scope(plan);
       try {
@@ -247,7 +247,7 @@ TEST(StoreKillSweep, KillDuringCompactLosesNoAckedRecord) {
       }
       chaos::Config plan;
       plan.seed = seed;
-      plan.abort_actor = kStoreActor;
+      plan.abort_actor = chaos::kStoreActor;
       plan.abort_at_op = op;
       chaos::Scope scope(plan);
       try {

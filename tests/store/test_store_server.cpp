@@ -180,7 +180,7 @@ TEST(StoreServer, WarmStartServesRecoveredResultsWithoutReexecuting) {
 ServerConfig shard_store_config(const std::string& dir) {
   ServerConfig config = store_config(dir);
   config.workers = 1;
-  config.executor.mode = ExecMode::Socket;
+  config.exec_mode = ExecMode::Socket;
   config.shard.worker_bin = PDCLAB_TEST_BIN;
   config.shard.heartbeat_ms = 50;
   return config;

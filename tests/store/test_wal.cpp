@@ -330,7 +330,7 @@ TEST(WalChaos, TargetedAbortsLandOnTheStoreLaneCheckpoints) {
   {
     chaos::Config plan;
     plan.seed = 1;
-    plan.abort_actor = kStoreActor;
+    plan.abort_actor = chaos::kStoreActor;
     plan.abort_at_op = 0;
     chaos::Scope scope(plan);
     EXPECT_THROW(wal.append(RecordKind::Result, 0, bytes_of("aborted")),
@@ -346,7 +346,7 @@ TEST(WalChaos, TargetedAbortsLandOnTheStoreLaneCheckpoints) {
   {
     chaos::Config plan;
     plan.seed = 2;
-    plan.abort_actor = kStoreActor;
+    plan.abort_actor = chaos::kStoreActor;
     plan.abort_at_op = 1;
     chaos::Scope scope(plan);
     EXPECT_THROW(wal.append(RecordKind::Result, 0, bytes_of("torn")),

@@ -109,9 +109,9 @@ int run_serve(int argc, char** argv) {
         const char* v = need("--executor");
         if (v == nullptr) return 64;
         if (std::strcmp(v, "inline") == 0) {
-          config.executor.mode = pdc::lab::ExecMode::Inline;
+          config.exec_mode = pdc::lab::ExecMode::Inline;
         } else if (std::strcmp(v, "socket") == 0) {
-          config.executor.mode = pdc::lab::ExecMode::Socket;
+          config.exec_mode = pdc::lab::ExecMode::Socket;
         } else {
           return usage("--executor must be 'inline' or 'socket'");
         }
@@ -139,7 +139,7 @@ int run_serve(int argc, char** argv) {
   if (config.workers < 1) return usage("--workers must be >= 1");
 
   const int workers = config.workers;
-  const pdc::lab::ExecMode mode = config.executor.mode;
+  const pdc::lab::ExecMode mode = config.exec_mode;
   pdc::lab::Server server(std::move(config));
   try {
     server.start();
@@ -515,18 +515,6 @@ int run_worker(int argc, char** argv) {
         const char* v = need();
         if (v == nullptr) return usage("--slot needs a value");
         slot = std::atoi(v);
-      } else if (arg == "--executor") {
-        const char* v = need();
-        if (v == nullptr) return usage("--executor needs a value");
-        if (std::strcmp(v, "inline") == 0) {
-          executor.mode = pdc::lab::ExecMode::Inline;
-        } else if (std::strcmp(v, "socket") == 0) {
-          // A worker process runs its jobs with the in-process harness; the
-          // process boundary *is* the socket executor's isolation.
-          executor.mode = pdc::lab::ExecMode::Inline;
-        } else {
-          return usage("--executor must be 'inline' or 'socket'");
-        }
       } else if (arg == "--max-np") {
         const char* v = need();
         if (v == nullptr) return usage("--max-np needs a value");
