@@ -5,7 +5,14 @@
 #
 # 1. tier-1      — regular build, the whole test suite (fast, seeds at
 #                  defaults)
-# 2. bench-smoke — scripts/bench_snapshot: the bench binaries in a
+# 2. asan        — AddressSanitizer+UndefinedBehaviorSanitizer build
+#                  (-DPDCLAB_SANITIZE=address+undefined), the whole tier-1
+#                  suite once under it: every decoder meets the hostile-byte
+#                  tests here before any perf stage runs
+# 3. labbench    — python3 labbench/selftest.py: the lab-serving benchmark's
+#                  own self-test (smoke runs of every workload, metric names,
+#                  correctness gates tripped on purpose)
+# 4. bench-smoke — scripts/bench_snapshot: the bench binaries in a
 #                  1-rep/2-round configuration (ctest -L bench-smoke) as a
 #                  crash/hang canary, then six representative probes
 #                  (mailbox match cost, fork-join overhead, the four-way
@@ -14,19 +21,19 @@
 #                  inline and through the forked shard pool under the
 #                  worker-kill monkey, grader submissions/sec) distilled
 #                  into BENCH_<n>.json — trend data, not a measurement
-# 3. tsan        — ThreadSanitizer build, concurrency suites (ctest -L tsan),
+# 5. tsan        — ThreadSanitizer build, concurrency suites (ctest -L tsan),
 #                  which include the smp team poison/abort regression tests,
 #                  the in-process socket-cluster suites (test_net carries the
 #                  tsan label), the lab server end-to-end suite
 #                  (test_lab_server carries lab-tsan), and the grade-report
 #                  determinism suite (grade-tsan)
-# 4. stress      — chaos seed sweeps at full depth (ctest -L stress with
+# 6. stress      — chaos seed sweeps at full depth (ctest -L stress with
 #                  PDCLAB_CHAOS_SEEDS: acceptance scenarios x N seeds, the
 #                  patternlet sweep at a quarter depth, the socket AND shm
 #                  chaos sweeps — noise/lossy/hostile/targeted-kill — the lab
 #                  admission/dispatch sweep (lab-stress), and the grader
 #                  dispatch sweep (grade-stress))
-# 5. net         — the transport suites (ctest -L net): wire-protocol
+# 7. net         — the transport suites (ctest -L net): wire-protocol
 #                  hostile inputs, in-process socket AND shm-ring clusters,
 #                  the dial-backoff/partial-send regressions, pdcrun
 #                  end-to-end, the socket and shm golden variants (the shm
@@ -34,7 +41,7 @@
 #                  check), and the net chaos sweeps at PDCLAB_CHAOS_SEEDS
 #                  depth; every test is bounded by watchdog/handshake
 #                  timeouts so this stage cannot hang the ladder
-# 6. lab         — the lab-server suites (ctest -L lab): protocol clamps and
+# 8. lab         — the lab-server suites (ctest -L lab): protocol clamps and
 #                  hostile frames, fair queue + quotas, result cache, server
 #                  end-to-end over unix/tcp (incl. cancellation), the shard
 #                  worker-pool suite (forked pdclab workers: crash/hang
@@ -44,13 +51,13 @@
 #                  PDCLAB_CHAOS_SEEDS depth, and the 1000-session
 #                  load-replay acceptance runs — inline AND multi-process
 #                  with the worker-kill monkey (zero lost jobs required)
-# 7. grade       — the autograder suites (ctest -L grade): mutant synthesis,
+# 9. grade       — the autograder suites (ctest -L grade): mutant synthesis,
 #                  verdict classification, the golden verdict suite, the
 #                  byte-identical-report determinism suite, the hostile
 #                  chaos sweep over the grader dispatch path at
 #                  PDCLAB_CHAOS_SEEDS depth (zero hangs, zero lost
 #                  verdicts), and the cohort throughput acceptance run
-# 8. store       — the persistence suites (ctest -L store): WAL framing and
+# 10. store      — the persistence suites (ctest -L store): WAL framing and
 #                  torn-tail/corruption recovery, snapshot compaction,
 #                  store-backed server integration (journal-before-ack,
 #                  warm start, streamed cohort reports, SIGTERM flush), the
@@ -66,42 +73,50 @@ prefix="${1:-build}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 seeds="${PDCLAB_CHAOS_SEEDS:-80}"
 
-echo "==> [1/8] tier-1: build + full test suite (${prefix})"
+echo "==> [1/10] tier-1: build + full test suite (${prefix})"
 cmake -B "${prefix}" -S . >/dev/null
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 
-echo "==> [2/8] bench-smoke: bench canaries + BENCH snapshot (${prefix})"
+echo "==> [2/10] asan: ASan+UBSan build + full test suite (${prefix}-asan)"
+cmake -B "${prefix}-asan" -S . -DPDCLAB_SANITIZE=address+undefined >/dev/null
+cmake --build "${prefix}-asan" -j "${jobs}"
+ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}"
+
+echo "==> [3/10] labbench: lab-serving benchmark self-test"
+python3 labbench/selftest.py
+
+echo "==> [4/10] bench-smoke: bench canaries + BENCH snapshot (${prefix})"
 scripts/bench_snapshot "${prefix}" 10
 
-echo "==> [3/8] tsan: ThreadSanitizer build + concurrency suites (${prefix}-tsan)"
+echo "==> [5/10] tsan: ThreadSanitizer build + concurrency suites (${prefix}-tsan)"
 cmake -B "${prefix}-tsan" -S . -DPDCLAB_SANITIZE=thread \
   -DPDCLAB_BUILD_BENCH=OFF -DPDCLAB_BUILD_EXAMPLES=OFF >/dev/null
 cmake --build "${prefix}-tsan" -j "${jobs}"
 ctest --test-dir "${prefix}-tsan" --output-on-failure -j "${jobs}" -L tsan
 
-echo "==> [4/8] stress: chaos seed sweeps, PDCLAB_CHAOS_SEEDS=${seeds}"
+echo "==> [6/10] stress: chaos seed sweeps, PDCLAB_CHAOS_SEEDS=${seeds}"
 PDCLAB_CHAOS_SEEDS="${seeds}" \
   ctest --test-dir "${prefix}" --output-on-failure -L stress
 
-echo "==> [5/8] net: socket + shm transports, pdcrun, goldens," \
+echo "==> [7/10] net: socket + shm transports, pdcrun, goldens," \
      "PDCLAB_CHAOS_SEEDS=${seeds}"
 PDCLAB_CHAOS_SEEDS="${seeds}" \
   ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}" -L net
 
-echo "==> [6/8] lab: lab server suites + chaos sweeps + load acceptance" \
+echo "==> [8/10] lab: lab server suites + chaos sweeps + load acceptance" \
      "(inline + multiproc), PDCLAB_CHAOS_SEEDS=${seeds}"
 PDCLAB_CHAOS_SEEDS="${seeds}" \
   ctest --test-dir "${prefix}" --output-on-failure -L lab
 
-echo "==> [7/8] grade: autograder suites + golden verdicts + dispatch" \
+echo "==> [9/10] grade: autograder suites + golden verdicts + dispatch" \
      "sweep + throughput acceptance, PDCLAB_CHAOS_SEEDS=${seeds}"
 PDCLAB_CHAOS_SEEDS="${seeds}" \
   ctest --test-dir "${prefix}" --output-on-failure -L grade
 
-echo "==> [8/8] store: WAL/recovery suites + server integration + kill" \
+echo "==> [10/10] store: WAL/recovery suites + server integration + kill" \
      "sweep + warm-up acceptance, PDCLAB_CHAOS_SEEDS=${seeds}"
 PDCLAB_CHAOS_SEEDS="${seeds}" \
   ctest --test-dir "${prefix}" --output-on-failure -L store
 
-echo "==> verify.sh: all eight stages passed"
+echo "==> verify.sh: all ten stages passed"

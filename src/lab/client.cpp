@@ -32,6 +32,22 @@ void Client::close() noexcept {
   socket_.close();
 }
 
+namespace {
+
+[[noreturn]] void unexpected(const wire::Header& header,
+                             const char* waiting_for) {
+  throw net::ProtocolError("lab client: unexpected frame kind " +
+                           std::to_string(static_cast<int>(header.kind)) +
+                           " while waiting for " + waiting_for);
+}
+
+}  // namespace
+
+void Client::park_result(const mp::Bytes& body) {
+  Result result = protocol::decode_result(body);
+  parked_results_[result.job_id] = std::move(result);
+}
+
 wire::Header Client::read_frame(mp::Bytes* body) {
   wire::Header header;
   if (!net::recv_frame_for(socket_, &header, body,
@@ -62,11 +78,9 @@ Client::Outcome Client::submit(const protocol::Submit& submit) {
         outcome.reject = protocol::decode_reject(body);
         return outcome;
       }
-      case wire::FrameKind::Result: {
-        Result result = protocol::decode_result(body);
-        parked_results_[result.job_id] = std::move(result);
+      case wire::FrameKind::Result:
+        park_result(body);
         break;
-      }
       case wire::FrameKind::Status: {
         // A fast worker's first streamed batch can beat the Accept onto
         // the wire (the job is queued before the Accept is sent); park it
@@ -75,10 +89,7 @@ Client::Outcome Client::submit(const protocol::Submit& submit) {
         break;
       }
       default:
-        throw net::ProtocolError(
-            "lab client: unexpected frame kind " +
-            std::to_string(static_cast<int>(header.kind)) +
-            " while waiting for Accept/Reject");
+        unexpected(header, "Accept/Reject");
     }
   }
 }
@@ -101,11 +112,9 @@ Result Client::wait_result(std::uint64_t job_id, const StatusSink& on_status) {
     mp::Bytes body;
     const wire::Header header = read_frame(&body);
     switch (header.kind) {
-      case wire::FrameKind::Result: {
-        Result result = protocol::decode_result(body);
-        parked_results_[result.job_id] = std::move(result);
+      case wire::FrameKind::Result:
+        park_result(body);
         break;
-      }
       case wire::FrameKind::Status: {
         // A pushed output batch for our job goes to the sink; anything else
         // (stale query reply, another job's push) is harmless noise — the
@@ -118,10 +127,7 @@ Result Client::wait_result(std::uint64_t job_id, const StatusSink& on_status) {
         break;
       }
       default:
-        throw net::ProtocolError(
-            "lab client: unexpected frame kind " +
-            std::to_string(static_cast<int>(header.kind)) +
-            " while waiting for a Result");
+        unexpected(header, "a Result");
     }
   }
 }
@@ -157,16 +163,11 @@ Client::CancelOutcome Client::cancel(std::uint64_t job_id,
         outcome.reject = protocol::decode_reject(body);
         return outcome;
       }
-      case wire::FrameKind::Result: {
-        Result result = protocol::decode_result(body);
-        parked_results_[result.job_id] = std::move(result);
+      case wire::FrameKind::Result:
+        park_result(body);
         break;
-      }
       default:
-        throw net::ProtocolError(
-            "lab client: unexpected frame kind " +
-            std::to_string(static_cast<int>(header.kind)) +
-            " while waiting for a Cancel answer");
+        unexpected(header, "a Cancel answer");
     }
   }
 }
@@ -178,7 +179,7 @@ Client::ReportOutcome Client::report(const std::string& token,
   query.role = protocol::ReportRole::Query;
   query.token = token;
   query.tenant = tenant;
-  query.cohort = cohort;
+  query.aggregate.cohort = cohort;
   net::send_all(socket_, protocol::encode_report(query), nullptr,
                 /*bye_ok=*/false, "lab client");
   ReportOutcome outcome;
@@ -200,20 +201,15 @@ Client::ReportOutcome Client::report(const std::string& token,
         outcome.reject = protocol::decode_reject(body);
         return outcome;
       }
-      case wire::FrameKind::Result: {
-        Result result = protocol::decode_result(body);
-        parked_results_[result.job_id] = std::move(result);
+      case wire::FrameKind::Result:
+        park_result(body);
         break;
-      }
       case wire::FrameKind::Status: {
         parked_statuses_.push_back(protocol::decode_status(body));
         break;
       }
       default:
-        throw net::ProtocolError(
-            "lab client: unexpected frame kind " +
-            std::to_string(static_cast<int>(header.kind)) +
-            " while waiting for a Report stream");
+        unexpected(header, "a Report stream");
     }
   }
 }
@@ -230,16 +226,11 @@ Status Client::query_status(std::uint64_t job_id) {
     switch (header.kind) {
       case wire::FrameKind::Status:
         return protocol::decode_status(body);
-      case wire::FrameKind::Result: {
-        Result result = protocol::decode_result(body);
-        parked_results_[result.job_id] = std::move(result);
+      case wire::FrameKind::Result:
+        park_result(body);
         break;
-      }
       default:
-        throw net::ProtocolError(
-            "lab client: unexpected frame kind " +
-            std::to_string(static_cast<int>(header.kind)) +
-            " while waiting for a Status reply");
+        unexpected(header, "a Status reply");
     }
   }
 }

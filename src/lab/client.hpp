@@ -107,6 +107,8 @@ class Client {
   /// Receive one frame within the reply deadline and park/dispatch it.
   /// Returns the header kind. Throws on EOF, deadline, or garbage.
   wire::Header read_frame(mp::Bytes* body);
+  /// Park a Result that arrived while waiting for something else.
+  void park_result(const mp::Bytes& body);
 
   ClientConfig config_;
   net::Socket socket_;

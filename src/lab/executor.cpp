@@ -207,6 +207,9 @@ Result Executor::execute(const Submit& submit, const LineSink& on_line) const {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
+  // A cell can print more than a Result frame carries; fit it here, where
+  // the Result is formed, so no client or shard pool gets one it rejects.
+  protocol::fit_result(result);
   return result;
 }
 

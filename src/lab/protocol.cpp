@@ -1,14 +1,10 @@
 #include "lab/protocol.hpp"
 
-#include <bit>
-
-#include "net/errors.hpp"
+#include <algorithm>
 
 namespace pdc::lab::protocol {
 
-using net::ProtocolError;
 using wire::FrameKind;
-using wire::Reader;
 
 const char* job_kind_name(JobKind kind) noexcept {
   switch (kind) {
@@ -34,293 +30,124 @@ const char* reject_code_name(RejectCode code) noexcept {
 
 namespace {
 
-/// Header + body in one buffer (lab frames are small; no shared payload).
-mp::Bytes frame(FrameKind kind, const mp::Bytes& body) {
-  mp::Bytes out = wire::encode_header(kind, body.size());
-  out.insert(out.end(), body.begin(), body.end());
-  return out;
-}
+using wire::Enum;
+using wire::Field;
+using wire::Fields;
+using wire::Fixed;
+using wire::List;
+using wire::Str;
 
-JobKind decode_job_kind(std::uint16_t raw) {
-  if (raw < static_cast<std::uint16_t>(JobKind::Patternlet) ||
-      raw > static_cast<std::uint16_t>(JobKind::Grade)) {
-    throw ProtocolError("lab: unknown job kind " + std::to_string(raw));
-  }
-  return static_cast<JobKind>(raw);
-}
+// One field list per frame body, in wire order. The bytes are the
+// protocol: reordering a field or changing a codec breaks every peer.
 
-JobState decode_job_state(std::uint16_t raw) {
-  if (raw > static_cast<std::uint16_t>(JobState::Done)) {
-    throw ProtocolError("lab: unknown job state " + std::to_string(raw));
-  }
-  return static_cast<JobState>(raw);
-}
+using SubmitFields =
+    Fields<Field<&Submit::token, Identity>, Field<&Submit::tenant, Identity>,
+           Field<&Submit::kind, Enum<JobKind::Patternlet, JobKind::Grade>>,
+           Field<&Submit::name, Name>, Field<&Submit::np>,
+           Field<&Submit::seed>,
+           Field<&Submit::source, Str<kMaxSourceBytes>>>;
 
-}  // namespace
+using AcceptFields =
+    Fields<Field<&Accept::job_id>, Field<&Accept::queue_position>>;
 
-mp::Bytes encode_submit(const Submit& submit) {
-  mp::Bytes body;
-  wire::put_string(body, submit.token);
-  wire::put_string(body, submit.tenant);
-  wire::put_u16(body, static_cast<std::uint16_t>(submit.kind));
-  wire::put_string(body, submit.name);
-  wire::put_i32(body, submit.np);
-  wire::put_u64(body, submit.seed);
-  wire::put_string(body, submit.source);
-  return frame(FrameKind::Submit, body);
-}
+using StatusFields =
+    Fields<Field<&Status::job_id>,
+           Field<&Status::state, Enum<JobState::Unknown, JobState::Done>>,
+           Field<&Status::queue_depth>, Field<&Status::output, OutputLines>>;
 
-Submit decode_submit(const mp::Bytes& body) {
-  Reader r(body);
-  Submit submit;
-  submit.token = r.string(kMaxIdentityBytes);
-  submit.tenant = r.string(kMaxIdentityBytes);
-  submit.kind = decode_job_kind(r.u16());
-  submit.name = r.string(kMaxNameBytes);
-  submit.np = r.i32();
-  submit.seed = r.u64();
-  submit.source = r.string(kMaxSourceBytes);
-  r.expect_end();
-  return submit;
-}
+using ResultFields =
+    Fields<Field<&Result::job_id>, Field<&Result::exit_code>,
+           Field<&Result::cached, Enum<false, true>>, Field<&Result::exec_us>,
+           Field<&Result::error, Reason>, Field<&Result::output, OutputLines>>;
 
-mp::Bytes encode_accept(const Accept& accept) {
-  mp::Bytes body;
-  wire::put_u64(body, accept.job_id);
-  wire::put_u32(body, accept.queue_position);
-  return frame(FrameKind::Accept, body);
-}
+using RejectFields = Fields<
+    Field<&Reject::code, Enum<RejectCode::BadToken, RejectCode::Shutdown>>,
+    Field<&Reject::reason, Reason>>;
 
-Accept decode_accept(const mp::Bytes& body) {
-  Reader r(body);
-  Accept accept;
-  accept.job_id = r.u64();
-  accept.queue_position = r.u32();
-  r.expect_end();
-  return accept;
-}
+using CancelFields =
+    Fields<Field<&Cancel::token, Identity>, Field<&Cancel::tenant, Identity>,
+           Field<&Cancel::job_id>>;
 
-namespace {
+using DispatchFields =
+    Fields<Field<&Dispatch::job_id>, Field<&Dispatch::submit, SubmitFields>>;
 
-/// Shared by Status and Result: a counted list of clamped lines, with the
-/// hostile-prefix check (each line costs at least its 4-byte length
-/// prefix) before any reserve().
-void put_lines(mp::Bytes& body, const std::vector<std::string>& lines) {
-  wire::put_u32(body, static_cast<std::uint32_t>(lines.size()));
-  for (const std::string& line : lines) wire::put_string(body, line);
-}
+using store::CohortReport;
+using VerdictCount = std::pair<std::string, std::uint64_t>;
+using VerdictCountFields = Fields<Field<&VerdictCount::first, Name>,
+                                  Field<&VerdictCount::second>>;
+using CohortReportFields = Fields<
+    Field<&CohortReport::cohort, Identity>, Field<&CohortReport::results>,
+    Field<&CohortReport::failures>, Field<&CohortReport::grades>,
+    Field<&CohortReport::verdicts,
+          List<VerdictCountFields, kMaxReportVerdicts>>,
+    Field<&CohortReport::matched>, Field<&CohortReport::explored>,
+    Field<&CohortReport::divergence_count>,
+    Field<&CohortReport::divergence_mean>,
+    Field<&CohortReport::divergence_stddev>,
+    Field<&CohortReport::divergence_min>, Field<&CohortReport::divergence_max>,
+    Field<&CohortReport::histogram,
+          List<Fixed<std::uint64_t>, kMaxReportBins>>>;
 
-std::vector<std::string> read_lines(Reader& r, const char* what) {
-  const std::uint32_t count = r.u32();
-  if (count > kMaxOutputLines) {
-    throw ProtocolError(std::string("lab: ") + what + " line count " +
-                        std::to_string(count) + " exceeds the clamp of " +
-                        std::to_string(kMaxOutputLines));
-  }
-  if (count > r.remaining() / 4) {
-    throw ProtocolError(std::string("lab: ") + what + " line count " +
-                        std::to_string(count) + " exceeds what " +
-                        std::to_string(r.remaining()) +
-                        " body bytes could hold");
-  }
-  std::vector<std::string> lines;
-  lines.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    lines.push_back(r.string(kMaxLineBytes));
-  }
-  return lines;
-}
+using ReportFields = Fields<
+    Field<&Report::role, Enum<ReportRole::Query, ReportRole::End>>,
+    Field<&Report::token, Identity>, Field<&Report::tenant, Identity>,
+    Field<&Report::aggregate, CohortReportFields>>;
 
 }  // namespace
 
-mp::Bytes encode_status(const Status& status) {
-  mp::Bytes body;
-  wire::put_u64(body, status.job_id);
-  wire::put_u16(body, static_cast<std::uint16_t>(status.state));
-  wire::put_u32(body, status.queue_depth);
-  put_lines(body, status.output);
-  return frame(FrameKind::Status, body);
-}
-
-Status decode_status(const mp::Bytes& body) {
-  Reader r(body);
-  Status status;
-  status.job_id = r.u64();
-  status.state = decode_job_state(r.u16());
-  status.queue_depth = r.u32();
-  status.output = read_lines(r, "status output");
-  r.expect_end();
-  return status;
-}
-
-mp::Bytes encode_result(const Result& result) {
-  mp::Bytes body;
-  wire::put_u64(body, result.job_id);
-  wire::put_i32(body, result.exit_code);
-  wire::put_u16(body, result.cached ? 1 : 0);
-  wire::put_u64(body, result.exec_us);
-  wire::put_string(body, result.error);
-  put_lines(body, result.output);
-  return frame(FrameKind::Result, body);
-}
-
-Result decode_result(const mp::Bytes& body) {
-  Reader r(body);
-  Result result;
-  result.job_id = r.u64();
-  result.exit_code = r.i32();
-  result.cached = r.u16() != 0;
-  result.exec_us = r.u64();
-  result.error = r.string(kMaxReasonBytes);
-  result.output = read_lines(r, "result output");
-  r.expect_end();
-  return result;
-}
-
-mp::Bytes encode_reject(const Reject& reject) {
-  mp::Bytes body;
-  wire::put_u16(body, static_cast<std::uint16_t>(reject.code));
-  wire::put_string(body, reject.reason);
-  return frame(FrameKind::Reject, body);
-}
-
-Reject decode_reject(const mp::Bytes& body) {
-  Reader r(body);
-  Reject reject;
-  const std::uint16_t raw = r.u16();
-  if (raw < static_cast<std::uint16_t>(RejectCode::BadToken) ||
-      raw > static_cast<std::uint16_t>(RejectCode::Shutdown)) {
-    throw ProtocolError("lab: unknown reject code " + std::to_string(raw));
+// encode_<name>/decode_<name> of the frame kind, struct and list Type.
+#define PDC_LAB_FRAME_CODEC(name, Type)                               \
+  mp::Bytes encode_##name(const Type& value) {                        \
+    return wire::encode_frame<Type##Fields>(FrameKind::Type, value);  \
+  }                                                                   \
+  Type decode_##name(const mp::Bytes& body) {                         \
+    return wire::decode_body<Type##Fields>(body);                     \
   }
-  reject.code = static_cast<RejectCode>(raw);
-  reject.reason = r.string(kMaxReasonBytes);
-  r.expect_end();
-  return reject;
+
+PDC_LAB_FRAME_CODEC(submit, Submit)
+PDC_LAB_FRAME_CODEC(accept, Accept)
+PDC_LAB_FRAME_CODEC(status, Status)
+PDC_LAB_FRAME_CODEC(result, Result)
+PDC_LAB_FRAME_CODEC(reject, Reject)
+PDC_LAB_FRAME_CODEC(cancel, Cancel)
+PDC_LAB_FRAME_CODEC(dispatch, Dispatch)
+PDC_LAB_FRAME_CODEC(report, Report)
+
+#undef PDC_LAB_FRAME_CODEC
+
+std::size_t lines_that_fit(std::span<const std::string> lines,
+                           std::size_t max_lines, std::size_t max_bytes) {
+  std::size_t n = 0;
+  for (std::size_t bytes = 0; n < lines.size() && n < max_lines; ++n) {
+    bytes += 4 + lines[n].size();
+    if (bytes > max_bytes) break;
+  }
+  return n;
 }
 
-mp::Bytes encode_cancel(const Cancel& cancel) {
-  mp::Bytes body;
-  wire::put_string(body, cancel.token);
-  wire::put_string(body, cancel.tenant);
-  wire::put_u64(body, cancel.job_id);
-  return frame(FrameKind::Cancel, body);
-}
-
-Cancel decode_cancel(const mp::Bytes& body) {
-  Reader r(body);
-  Cancel cancel;
-  cancel.token = r.string(kMaxIdentityBytes);
-  cancel.tenant = r.string(kMaxIdentityBytes);
-  cancel.job_id = r.u64();
-  r.expect_end();
-  return cancel;
-}
-
-mp::Bytes encode_dispatch(const Dispatch& dispatch) {
-  mp::Bytes body;
-  wire::put_u64(body, dispatch.job_id);
-  wire::put_string(body, dispatch.submit.token);
-  wire::put_string(body, dispatch.submit.tenant);
-  wire::put_u16(body, static_cast<std::uint16_t>(dispatch.submit.kind));
-  wire::put_string(body, dispatch.submit.name);
-  wire::put_i32(body, dispatch.submit.np);
-  wire::put_u64(body, dispatch.submit.seed);
-  wire::put_string(body, dispatch.submit.source);
-  return frame(FrameKind::Dispatch, body);
-}
-
-Dispatch decode_dispatch(const mp::Bytes& body) {
-  Reader r(body);
-  Dispatch dispatch;
-  dispatch.job_id = r.u64();
-  dispatch.submit.token = r.string(kMaxIdentityBytes);
-  dispatch.submit.tenant = r.string(kMaxIdentityBytes);
-  dispatch.submit.kind = decode_job_kind(r.u16());
-  dispatch.submit.name = r.string(kMaxNameBytes);
-  dispatch.submit.np = r.i32();
-  dispatch.submit.seed = r.u64();
-  dispatch.submit.source = r.string(kMaxSourceBytes);
-  r.expect_end();
-  return dispatch;
-}
-
-mp::Bytes encode_report(const Report& report) {
-  mp::Bytes body;
-  wire::put_u16(body, static_cast<std::uint16_t>(report.role));
-  wire::put_string(body, report.token);
-  wire::put_string(body, report.tenant);
-  wire::put_string(body, report.cohort);
-  const store::CohortReport& a = report.aggregate;
-  wire::put_u64(body, a.results);
-  wire::put_u64(body, a.failures);
-  wire::put_u64(body, a.grades);
-  wire::put_u32(body, static_cast<std::uint32_t>(a.verdicts.size()));
-  for (const auto& [verdict, count] : a.verdicts) {
-    wire::put_string(body, verdict);
-    wire::put_u64(body, count);
+void fit_result(Result& result) {
+  result.error.resize(std::min<std::size_t>(result.error.size(),
+                                            kMaxReasonBytes));
+  std::vector<std::string>& lines = result.output;
+  std::size_t cut = 0;
+  for (std::string& line : lines) {
+    if (line.size() > kMaxLineBytes) {
+      line.resize(kMaxLineBytes);
+      ++cut;
+    }
   }
-  wire::put_u64(body, a.matched);
-  wire::put_u64(body, a.explored);
-  wire::put_u64(body, a.divergence_count);
-  wire::put_u64(body, std::bit_cast<std::uint64_t>(a.divergence_mean));
-  wire::put_u64(body, std::bit_cast<std::uint64_t>(a.divergence_stddev));
-  wire::put_u64(body, std::bit_cast<std::uint64_t>(a.divergence_min));
-  wire::put_u64(body, std::bit_cast<std::uint64_t>(a.divergence_max));
-  wire::put_u32(body, static_cast<std::uint32_t>(a.histogram.size()));
-  for (const std::uint64_t count : a.histogram) wire::put_u64(body, count);
-  return frame(FrameKind::Report, body);
-}
-
-Report decode_report(const mp::Bytes& body) {
-  Reader r(body);
-  Report report;
-  const std::uint16_t role = r.u16();
-  if (role > static_cast<std::uint16_t>(ReportRole::End)) {
-    throw ProtocolError("lab: unknown report role " + std::to_string(role));
+  const std::size_t total = lines.size();
+  if (cut == 0 &&
+      lines_that_fit(lines, kMaxOutputLines, kMaxOutputBytes) == total) {
+    return;  // the common case: nothing to cut
   }
-  report.role = static_cast<ReportRole>(role);
-  report.token = r.string(kMaxIdentityBytes);
-  report.tenant = r.string(kMaxIdentityBytes);
-  report.cohort = r.string(kMaxIdentityBytes);
-  store::CohortReport& a = report.aggregate;
-  a.cohort = report.cohort;
-  a.results = r.u64();
-  a.failures = r.u64();
-  a.grades = r.u64();
-  const std::uint32_t verdicts = r.u32();
-  if (verdicts > kMaxReportVerdicts) {
-    throw ProtocolError("lab: report claims " + std::to_string(verdicts) +
-                        " verdict kinds (clamp " +
-                        std::to_string(kMaxReportVerdicts) + ")");
-  }
-  a.verdicts.reserve(verdicts);
-  for (std::uint32_t i = 0; i < verdicts; ++i) {
-    std::string verdict = r.string(kMaxNameBytes);
-    const std::uint64_t count = r.u64();
-    a.verdicts.emplace_back(std::move(verdict), count);
-  }
-  a.matched = r.u64();
-  a.explored = r.u64();
-  a.divergence_count = r.u64();
-  a.divergence_mean = std::bit_cast<double>(r.u64());
-  a.divergence_stddev = std::bit_cast<double>(r.u64());
-  a.divergence_min = std::bit_cast<double>(r.u64());
-  a.divergence_max = std::bit_cast<double>(r.u64());
-  const std::uint32_t bins = r.u32();
-  if (bins > kMaxReportBins) {
-    throw ProtocolError("lab: report claims " + std::to_string(bins) +
-                        " histogram bins (clamp " +
-                        std::to_string(kMaxReportBins) + ")");
-  }
-  if (bins > r.remaining() / 8) {
-    throw ProtocolError("lab: report histogram bin count " +
-                        std::to_string(bins) +
-                        " exceeds what the frame carries");
-  }
-  a.histogram.reserve(bins);
-  for (std::uint32_t i = 0; i < bins; ++i) a.histogram.push_back(r.u64());
-  r.expect_end();
-  return report;
+  // Leave one line of up to 128 bytes for the marker.
+  lines.resize(lines_that_fit(lines, kMaxOutputLines - 1,
+                              kMaxOutputBytes - (4 + 128)));
+  lines.push_back("[output truncated: kept " + std::to_string(lines.size()) +
+                  " of " + std::to_string(total) + " lines, " +
+                  std::to_string(cut) + " cut to " +
+                  std::to_string(kMaxLineBytes) + " bytes]");
 }
 
 std::uint64_t digest(const Submit& submit) noexcept {

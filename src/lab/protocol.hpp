@@ -1,9 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "lab/fields.hpp"
 #include "mp/message.hpp"
 #include "net/wire.hpp"
 #include "store/store.hpp"
@@ -15,29 +17,20 @@ namespace wire = pdc::net::wire;
 
 namespace pdc::lab::protocol {
 
-// The lab service speaks PDCN frames (net/wire.hpp) with the Submit..Reject
-// frame kinds. Every body decoder here reads through wire::Reader, so a
-// hostile client hits the same typed-ProtocolError-before-allocation wall
-// the transport's Data frames do: the 1 MiB control-frame clamp at the
-// header, then per-field clamps before any string/vector is sized.
-
-/// Clamp on the auth token and tenant id strings.
-inline constexpr std::uint32_t kMaxIdentityBytes = 256;
-
-/// Clamp on a patternlet/exemplar/notebook program name.
-inline constexpr std::uint32_t kMaxNameBytes = 256;
+// The lab service speaks PDCN frames (net/wire.hpp) with the Submit..Report
+// frame kinds. Each body is one wire::Fields list in protocol.cpp, so a
+// hostile client hits the typed-ProtocolError-before-allocation wall of
+// every control frame, and no encoder emits what its decoder rejects. The
+// clamps a store::ResultRecord shares live in lab/fields.hpp.
 
 /// Clamp on an inline source payload (a notebook cell). Validated against
 /// the bytes actually present before the std::string is sized — an
 /// oversized length prefix is rejected, not allocated.
 inline constexpr std::uint32_t kMaxSourceBytes = 64u << 10;  // 64 KiB
 
-/// Clamps on a Result frame's captured output.
-inline constexpr std::uint32_t kMaxOutputLines = 4096;
-inline constexpr std::uint32_t kMaxLineBytes = 4096;
-
-/// Clamp on a Reject reason / Result error string.
-inline constexpr std::uint32_t kMaxReasonBytes = 1024;
+/// Output bytes (with length prefixes) one Result or Status push keeps.
+inline constexpr std::uint32_t kMaxOutputBytes =
+    wire::kMaxControlBodyBytes / 2;
 
 /// Largest world size a submission may request.
 inline constexpr int kMaxProcs = 16;
@@ -162,25 +155,25 @@ inline constexpr std::uint32_t kMaxReportVerdicts = 64;
 /// Clamp on the histogram shape a Report frame may claim.
 inline constexpr std::uint32_t kMaxReportBins = 256;
 
-/// Cohort-aggregate exchange. The client sends a Query (`cohort` = "" asks
-/// for every cohort; a name asks for that one, answered even when empty).
-/// The server — store-backed only; without a store the query is Rejected —
-/// streams one Cohort frame per cohort, sorted by name, then one End frame.
-/// The aggregate payload is a store::CohortReport: counts plus the folded
-/// Welford/Histogram state, deterministic for a given record set.
+/// Cohort-aggregate exchange. The client sends a Query (aggregate.cohort
+/// "" asks for every cohort; a name asks for that one, answered even when
+/// empty). The server — store-backed only; without a store the query is
+/// Rejected — streams one Cohort frame per cohort, sorted by name, then one
+/// End frame. The aggregate payload is a store::CohortReport: counts plus
+/// the folded Welford/Histogram state, deterministic for a given record set.
 struct Report {
   ReportRole role = ReportRole::Query;
   std::string token;   ///< Query only: authenticates like Submit
   std::string tenant;  ///< Query only: requester (firewall accounting)
-  std::string cohort;  ///< Query: filter ("" = all); Cohort: the name
-  store::CohortReport aggregate;  ///< Cohort role only
+  store::CohortReport aggregate;  ///< counts: Cohort role only
 
   bool operator==(const Report&) const = default;
 };
 
 // ---- framing -------------------------------------------------------------
-// encode_* return a complete frame (header + body) ready for send_all;
-// decode_* take the received body for the matching FrameKind and throw
+// encode_* return a complete frame (one buffer) ready for send_all, and
+// throw net::ProtocolError rather than emit a field past its clamp; decode_*
+// take the received body for the matching FrameKind and throw
 // net::ProtocolError on anything malformed, truncated, oversized or
 // trailing-byte-ridden.
 
@@ -207,6 +200,20 @@ Dispatch decode_dispatch(const mp::Bytes& body);
 
 mp::Bytes encode_report(const Report& report);
 Report decode_report(const mp::Bytes& body);
+
+/// How many of `lines`, from the first, fit in `max_lines` lines and
+/// `max_bytes` bytes, each line counted with its 4-byte length prefix.
+std::size_t lines_that_fit(std::span<const std::string> lines,
+                           std::size_t max_lines, std::size_t max_bytes);
+
+/// Fits an executed Result to its frame, so the server never forms an
+/// answer its own client would reject. Each output line is cut to
+/// kMaxLineBytes; if the lines then pass kMaxOutputLines or
+/// kMaxOutputBytes, the longest prefix that leaves room for one more line
+/// is kept. Whenever anything was cut or dropped, the last line is one
+/// marker: "[output truncated: kept K of N lines, C cut to 4096 bytes]".
+/// `error` is cut to kMaxReasonBytes.
+void fit_result(Result& result);
 
 /// Content digest of a submission: everything that determines the job's
 /// output (kind, name, np, seed, source) and nothing that doesn't (token,

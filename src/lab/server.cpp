@@ -100,6 +100,8 @@ void Server::start() {
       result.exec_us = record.exec_us;
       result.output = record.output;
       result.error = record.error;
+      // Records journaled before results were fitted may not fit a frame.
+      protocol::fit_result(result);
       cache_.insert(digest, std::move(result));
       ++warmed_;
     }
@@ -518,7 +520,8 @@ void Server::reject(const std::shared_ptr<Session>& session, RejectCode code,
   trace::Counter("lab.rejects").add(1.0);
   protocol::Reject frame;
   frame.code = code;
-  frame.reason = reason;
+  // A reason may quote the request (a grade option) past the wire clamp.
+  frame.reason = reason.substr(0, protocol::kMaxReasonBytes);
   session->send(protocol::encode_reject(frame));
 }
 
@@ -626,13 +629,15 @@ void Server::handle_report(const std::shared_ptr<Session>& session,
   // Stream one Cohort frame per cohort (sorted — the store folds in sorted
   // key order, so the bytes are a pure function of the record set), then
   // the End marker.
+  const std::string& filter = query.aggregate.cohort;
   const std::vector<std::string> cohorts =
-      query.cohort.empty() ? store_->cohorts()
-                           : std::vector<std::string>{query.cohort};
+      filter.empty() ? store_->cohorts() : std::vector<std::string>{filter};
   for (const std::string& cohort : cohorts) {
+    // A GradeBook cohort name a Report frame cannot carry (nor a query
+    // name) is skipped.
+    if (cohort.size() > protocol::kMaxIdentityBytes) continue;
     protocol::Report reply;
     reply.role = protocol::ReportRole::Cohort;
-    reply.cohort = cohort;
     reply.aggregate = store_->report(cohort);
     if (!session->send(protocol::encode_report(reply))) return;
     trace::Counter("lab.reports").add(1.0);

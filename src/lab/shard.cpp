@@ -388,10 +388,12 @@ class Streamer {
                       /*bye_ok=*/false, "lab worker");
         return;
       }
-      for (std::size_t at = 0; at < lines.size();
-           at += protocol::kMaxOutputLines) {
-        const std::size_t end =
-            std::min(lines.size(), at + protocol::kMaxOutputLines);
+      // Batches within a Result's line and byte budgets, so every push
+      // fits its control frame.
+      for (std::size_t at = 0, end = 0; at < lines.size(); at = end) {
+        end = at + protocol::lines_that_fit(std::span(lines).subspan(at),
+                                            protocol::kMaxOutputLines,
+                                            protocol::kMaxOutputBytes);
         Status status;
         status.job_id = job_id_;
         status.state = protocol::JobState::Running;
@@ -430,11 +432,8 @@ int worker_main(const net::Endpoint& endpoint, int slot,
     hello.np = 0;
     hello.rank = slot;
     hello.hostname = "pdclab-worker";
-    const mp::Bytes hello_body = wire::encode_hello(hello);
-    mp::Bytes hello_frame =
-        wire::encode_header(wire::FrameKind::Hello, hello_body.size());
-    hello_frame.insert(hello_frame.end(), hello_body.begin(), hello_body.end());
-    net::send_all(socket, hello_frame, nullptr, /*bye_ok=*/false, "lab worker");
+    net::send_all(socket, wire::encode_hello(hello), nullptr, /*bye_ok=*/false,
+                  "lab worker");
 
     Executor executor(executor_config);
     for (;;) {

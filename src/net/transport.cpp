@@ -208,9 +208,7 @@ void SocketTransport::wireup_rank0(const SocketConfig& config,
     welcome.peers.emplace_back(endpoints[static_cast<std::size_t>(r)],
                                hostnames_[static_cast<std::size_t>(r)]);
   }
-  const mp::Bytes body = wire::encode_welcome(welcome);
-  mp::Bytes frame = wire::encode_header(wire::FrameKind::Welcome, body.size());
-  frame.insert(frame.end(), body.begin(), body.end());
+  const mp::Bytes frame = wire::encode_welcome(welcome);
   for (int r = 1; r < config.np; ++r) {
     send_all(peers_[static_cast<std::size_t>(r)]->socket, frame, nullptr,
              /*bye_ok=*/false, "rank 0 rendezvous");
@@ -234,10 +232,7 @@ void SocketTransport::wireup_peer(const SocketConfig& config,
     hello.rank = config.rank;
     hello.endpoint = self.to_string();
     hello.hostname = config.hostname;
-    const mp::Bytes body = wire::encode_hello(hello);
-    mp::Bytes frame = wire::encode_header(wire::FrameKind::Hello, body.size());
-    frame.insert(frame.end(), body.begin(), body.end());
-    send_all(conn, frame, nullptr, /*bye_ok=*/false, who);
+    send_all(conn, wire::encode_hello(hello), nullptr, /*bye_ok=*/false, who);
   };
 
   // 1. Rendezvous with rank 0 and learn the address map.

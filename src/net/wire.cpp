@@ -9,22 +9,20 @@
 
 namespace pdc::net::wire {
 
-void put_u16(mp::Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v & 0xff));
-  out.push_back(static_cast<std::byte>((v >> 8) & 0xff));
-}
+namespace {
 
-void put_u32(mp::Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+template <class U>
+void put_le(mp::Bytes& out, U v) {
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    out.push_back(static_cast<std::byte>(v >> (8 * i)));
   }
 }
 
-void put_u64(mp::Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-  }
-}
+}  // namespace
+
+void put_u16(mp::Bytes& out, std::uint16_t v) { put_le(out, v); }
+void put_u32(mp::Bytes& out, std::uint32_t v) { put_le(out, v); }
+void put_u64(mp::Bytes& out, std::uint64_t v) { put_le(out, v); }
 
 void put_i32(mp::Bytes& out, std::int32_t v) {
   put_u32(out, static_cast<std::uint32_t>(v));
@@ -43,65 +41,34 @@ void Reader::need(std::size_t n) const {
   }
 }
 
-std::uint16_t Reader::u16() {
-  need(2);
-  const std::uint16_t v =
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>((*bytes_)[pos_]) |
-                                 static_cast<std::uint16_t>((*bytes_)[pos_ + 1])
-                                     << 8);
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>((*bytes_)[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>((*bytes_)[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += 8;
-  return v;
-}
-
-std::int32_t Reader::i32() { return static_cast<std::int32_t>(u32()); }
-
-std::string Reader::string(std::uint32_t max_len) {
-  const std::uint32_t len = u32();
-  if (len > max_len) {
-    throw ProtocolError("wire: string length " + std::to_string(len) +
-                        " exceeds the clamp of " + std::to_string(max_len));
-  }
-  // The length is validated against the bytes actually present before it
-  // sizes the std::string — a hostile prefix cannot drive an allocation.
-  need(len);
-  std::string s(reinterpret_cast<const char*>(bytes_->data() + pos_), len);
-  pos_ += len;
-  return s;
-}
-
 std::string_view Reader::string_view(std::uint32_t max_len) {
   const std::uint32_t len = u32();
   if (len > max_len) {
-    throw ProtocolError("wire: string length " + std::to_string(len) +
-                        " exceeds the clamp of " + std::to_string(max_len));
+    throw_out_of_range("string length", len, 0, max_len, /*encoding=*/false);
   }
+  // The length is validated against the bytes actually present before it
+  // can size anything — a hostile prefix cannot drive an allocation.
   need(len);
   const std::string_view s(
       reinterpret_cast<const char*>(bytes_->data() + pos_), len);
   pos_ += len;
   return s;
+}
+
+std::uint32_t Reader::count(std::uint32_t max_count,
+                            std::size_t min_element_bytes) {
+  const std::uint32_t n = u32();
+  if (n > max_count) {
+    throw_out_of_range("list count", n, 0, max_count, /*encoding=*/false);
+  }
+  // Each element costs at least min_element_bytes: a count the remaining
+  // bytes cannot hold is a hostile prefix, rejected before any reserve().
+  if (n > remaining() / min_element_bytes) {
+    throw ProtocolError("wire: list count " + std::to_string(n) +
+                        " exceeds what " + std::to_string(remaining()) +
+                        " body bytes could hold");
+  }
+  return n;
 }
 
 mp::Bytes Reader::rest() {
@@ -119,27 +86,29 @@ void Reader::expect_end() const {
   }
 }
 
-namespace {
-
-void append_header(mp::Bytes& out, FrameKind kind, std::size_t body_len) {
-  if (body_len > kMaxBodyBytes) {
-    throw ProtocolError("wire: refusing to emit a " +
-                        std::to_string(body_len) +
-                        "-byte frame body (clamp is " +
-                        std::to_string(kMaxBodyBytes) + ")");
-  }
-  put_u32(out, kMagic);
-  put_u16(out, kVersion);
-  put_u16(out, static_cast<std::uint16_t>(kind));
-  put_u32(out, static_cast<std::uint32_t>(body_len));
+void throw_out_of_range(const char* what, std::uint64_t value,
+                        std::uint64_t lo, std::uint64_t hi, bool encoding) {
+  throw ProtocolError(std::string("wire: ") +
+                      (encoding ? "refusing to encode " : "") + what + " " +
+                      std::to_string(value) + " outside its legal range " +
+                      std::to_string(lo) + ".." + std::to_string(hi));
 }
 
-}  // namespace
+void put_header(Writer& w, FrameKind kind, std::size_t body_len) {
+  if (body_len > body_clamp(kind)) {
+    throw_out_of_range("frame body length", body_len, 0, body_clamp(kind),
+                       /*encoding=*/true);
+  }
+  w.le(kMagic);
+  w.le(kVersion);
+  w.le(static_cast<std::uint16_t>(kind));
+  w.le(static_cast<std::uint32_t>(body_len));
+}
 
 mp::Bytes encode_header(FrameKind kind, std::size_t body_len) {
-  mp::Bytes out;
-  out.reserve(kHeaderBytes);
-  append_header(out, kind, body_len);
+  mp::Bytes out(kHeaderBytes);
+  Writer w(out.data());
+  put_header(w, kind, body_len);
   return out;
 }
 
@@ -160,75 +129,46 @@ Header decode_header(const std::byte (&raw)[kHeaderBytes]) {
                         " (this build speaks " + std::to_string(kVersion) +
                         ")");
   }
-  const std::uint16_t kind = r.u16();
-  if (kind < static_cast<std::uint16_t>(FrameKind::Hello) ||
-      kind > static_cast<std::uint16_t>(FrameKind::Report)) {
-    throw ProtocolError("wire: unknown frame kind " + std::to_string(kind));
+  Header header;
+  Enum<FrameKind::Hello, FrameKind::Report>::get(r, header.kind);
+  header.body_len = r.u32();
+  if (header.body_len > body_clamp(header.kind)) {
+    throw_out_of_range("frame body length", header.body_len, 0,
+                       body_clamp(header.kind), /*encoding=*/false);
   }
-  const std::uint32_t body_len = r.u32();
-  const std::uint32_t clamp = static_cast<FrameKind>(kind) == FrameKind::Data
-                                  ? kMaxBodyBytes
-                                  : kMaxControlBodyBytes;
-  if (body_len > clamp) {
-    throw ProtocolError("wire: frame body length " + std::to_string(body_len) +
-                        " exceeds the clamp of " + std::to_string(clamp) +
-                        " (hostile or corrupt length prefix)");
-  }
-  return Header{static_cast<FrameKind>(kind), body_len};
+  return header;
 }
 
+namespace {
+
+using Handshake = Str<kMaxHandshakeString>;
+using Peer = std::pair<std::string, std::string>;
+
+using HelloFields = Fields<Field<&Hello::job, Handshake>, Field<&Hello::np>,
+                           Field<&Hello::rank>,
+                           Field<&Hello::endpoint, Handshake>,
+                           Field<&Hello::hostname, Handshake>>;
+
+using PeerFields =
+    Fields<Field<&Peer::first, Handshake>, Field<&Peer::second, Handshake>>;
+using WelcomeFields = Fields<Field<&Welcome::peers, List<PeerFields>>>;
+
+}  // namespace
+
 mp::Bytes encode_hello(const Hello& hello) {
-  mp::Bytes body;
-  put_string(body, hello.job);
-  put_i32(body, hello.np);
-  put_i32(body, hello.rank);
-  put_string(body, hello.endpoint);
-  put_string(body, hello.hostname);
-  return body;
+  return encode_frame<HelloFields>(FrameKind::Hello, hello);
 }
 
 Hello decode_hello(const mp::Bytes& body) {
-  Reader r(body);
-  Hello hello;
-  hello.job = r.string(kMaxHandshakeString);
-  hello.np = r.i32();
-  hello.rank = r.i32();
-  hello.endpoint = r.string(kMaxHandshakeString);
-  hello.hostname = r.string(kMaxHandshakeString);
-  r.expect_end();
-  return hello;
+  return decode_body<HelloFields>(body);
 }
 
 mp::Bytes encode_welcome(const Welcome& welcome) {
-  mp::Bytes body;
-  put_u32(body, static_cast<std::uint32_t>(welcome.peers.size()));
-  for (const auto& [endpoint, hostname] : welcome.peers) {
-    put_string(body, endpoint);
-    put_string(body, hostname);
-  }
-  return body;
+  return encode_frame<WelcomeFields>(FrameKind::Welcome, welcome);
 }
 
 Welcome decode_welcome(const mp::Bytes& body) {
-  Reader r(body);
-  const std::uint32_t count = r.u32();
-  // Each entry costs at least its two 4-byte length prefixes; a count the
-  // remaining bytes cannot hold is a hostile prefix, rejected before
-  // reserve().
-  if (count > r.remaining() / 8) {
-    throw ProtocolError("wire: welcome peer count " + std::to_string(count) +
-                        " exceeds what " + std::to_string(r.remaining()) +
-                        " body bytes could hold");
-  }
-  Welcome welcome;
-  welcome.peers.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string endpoint = r.string(kMaxHandshakeString);
-    std::string hostname = r.string(kMaxHandshakeString);
-    welcome.peers.emplace_back(std::move(endpoint), std::move(hostname));
-  }
-  r.expect_end();
-  return welcome;
+  return decode_body<WelcomeFields>(body);
 }
 
 DataFrame encode_data(const mp::Envelope& envelope, int dest_world_rank) {
@@ -244,7 +184,9 @@ DataFrame encode_data(const mp::Envelope& envelope, int dest_world_rank) {
   const std::size_t meta_len = 4 + 8 + 4 + 4 + 8 + (4 + name.size()) + 4;
   DataFrame frame;
   frame.head.reserve(kHeaderBytes + meta_len);
-  append_header(frame.head, FrameKind::Data, meta_len + payload_len);
+  frame.head.resize(kHeaderBytes);
+  Writer header(frame.head.data());
+  put_header(header, FrameKind::Data, meta_len + payload_len);
   put_i32(frame.head, dest_world_rank);
   put_u64(frame.head, envelope.comm_id);
   put_i32(frame.head, envelope.source);

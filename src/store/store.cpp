@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +14,7 @@
 
 #include "assessment/streaming.hpp"
 #include "chaos/chaos.hpp"
+#include "lab/fields.hpp"
 #include "net/wire.hpp"
 #include "support/error.hpp"
 #include "trace/trace.hpp"
@@ -67,74 +67,45 @@ std::string fmt(double v) {
 
 // ---- record codecs -------------------------------------------------------
 
+namespace {
+
+using lab::protocol::Identity;
+using lab::protocol::Name;
+using lab::protocol::OutputLines;
+using wire::Field;
+using wire::Fields;
+using Text = wire::Str<kMaxFieldBytes>;
+
+using ResultRecordFields = Fields<
+    Field<&ResultRecord::digest>, Field<&ResultRecord::kind>,
+    Field<&ResultRecord::np>, Field<&ResultRecord::seed>,
+    Field<&ResultRecord::exit_code>, Field<&ResultRecord::exec_us>,
+    Field<&ResultRecord::tenant, Identity>, Field<&ResultRecord::name, Name>,
+    Field<&ResultRecord::error, Text>,
+    Field<&ResultRecord::output, OutputLines>>;
+
+using GradeRecordFields = Fields<
+    Field<&GradeRecord::cohort, Text>, Field<&GradeRecord::mutant, Text>,
+    Field<&GradeRecord::submission, Text>, Field<&GradeRecord::verdict, Text>,
+    Field<&GradeRecord::matched>, Field<&GradeRecord::explored>,
+    Field<&GradeRecord::divergence>, Field<&GradeRecord::detail, Text>>;
+
+}  // namespace
+
 mp::Bytes encode_result_record(const ResultRecord& record) {
-  mp::Bytes body;
-  wire::put_u64(body, record.digest);
-  wire::put_u16(body, record.kind);
-  wire::put_i32(body, record.np);
-  wire::put_u64(body, record.seed);
-  wire::put_i32(body, record.exit_code);
-  wire::put_u64(body, record.exec_us);
-  wire::put_string(body, record.tenant);
-  wire::put_string(body, record.name);
-  wire::put_string(body, record.error);
-  wire::put_u32(body, static_cast<std::uint32_t>(record.output.size()));
-  for (const std::string& line : record.output) wire::put_string(body, line);
-  return body;
+  return wire::encode_body<ResultRecordFields>(record);
 }
 
 ResultRecord decode_result_record(const mp::Bytes& body) {
-  wire::Reader reader(body);
-  ResultRecord record;
-  record.digest = reader.u64();
-  record.kind = reader.u16();
-  record.np = reader.i32();
-  record.seed = reader.u64();
-  record.exit_code = reader.i32();
-  record.exec_us = reader.u64();
-  record.tenant = reader.string(kMaxFieldBytes);
-  record.name = reader.string(kMaxFieldBytes);
-  record.error = reader.string(kMaxFieldBytes);
-  const std::uint32_t lines = reader.u32();
-  if (lines > kMaxOutputLines) {
-    throw Error("store: result record claims " + std::to_string(lines) +
-                " output lines (clamp " + std::to_string(kMaxOutputLines) +
-                ")");
-  }
-  record.output.reserve(lines);
-  for (std::uint32_t i = 0; i < lines; ++i) {
-    record.output.push_back(reader.string(kMaxFieldBytes));
-  }
-  reader.expect_end();
-  return record;
+  return wire::decode_body<ResultRecordFields>(body);
 }
 
 mp::Bytes encode_grade_record(const GradeRecord& record) {
-  mp::Bytes body;
-  wire::put_string(body, record.cohort);
-  wire::put_string(body, record.mutant);
-  wire::put_string(body, record.submission);
-  wire::put_string(body, record.verdict);
-  wire::put_u32(body, record.matched);
-  wire::put_u32(body, record.explored);
-  wire::put_u64(body, std::bit_cast<std::uint64_t>(record.divergence));
-  wire::put_string(body, record.detail);
-  return body;
+  return wire::encode_body<GradeRecordFields>(record);
 }
 
 GradeRecord decode_grade_record(const mp::Bytes& body) {
-  wire::Reader reader(body);
-  GradeRecord record;
-  record.cohort = reader.string(kMaxFieldBytes);
-  record.mutant = reader.string(kMaxFieldBytes);
-  record.submission = reader.string(kMaxFieldBytes);
-  record.verdict = reader.string(kMaxFieldBytes);
-  record.matched = reader.u32();
-  record.explored = reader.u32();
-  record.divergence = std::bit_cast<double>(reader.u64());
-  record.detail = reader.string(kMaxFieldBytes);
-  reader.expect_end();
-  return record;
+  return wire::decode_body<GradeRecordFields>(body);
 }
 
 // ---- report --------------------------------------------------------------

@@ -27,12 +27,14 @@ namespace pdc::store {
 // Layering: store sits below lab and grade (both journal through it), so it
 // defines its own record structs rather than reusing lab::protocol::Result
 // or grade::Grade. The lab server and the GradeBook convert at the edge.
+// Each record body is one wire::Fields list in store.cpp; a ResultRecord
+// field that came from a Submit or Result field takes that field's codec
+// and clamp from lab/fields.hpp.
 
-/// Clamps on record string fields — the same values the lab protocol
-/// enforces on the wire, restated here so a corrupt log body hits a typed
-/// error before it can size an allocation.
+/// Clamp on the GradeRecord strings, which no lab frame carries, and on
+/// ResultRecord::error: earlier versions journaled the executor's error
+/// text uncut up to this clamp, and those records must stay readable.
 inline constexpr std::uint32_t kMaxFieldBytes = 4096;
-inline constexpr std::uint32_t kMaxOutputLines = 4096;
 
 /// One terminal lab result, keyed by the submission content digest.
 /// `tenant` doubles as the cohort tag for per-cohort report aggregation.
@@ -82,9 +84,9 @@ using GradeKey = std::tuple<std::string, std::string, std::string>;
 }
 
 // ---- record codecs (bodies of wal.hpp frames) ----------------------------
-// Encoded with the PDCN wire primitives; decode reads through wire::Reader,
-// so truncated or oversized fields throw net::ProtocolError before any
-// allocation — the recovery path treats that exactly like a CRC mismatch.
+// Truncated or oversized fields throw net::ProtocolError before any
+// allocation — the recovery path treats that exactly like a CRC mismatch —
+// and encode refuses a field past its clamp.
 
 mp::Bytes encode_result_record(const ResultRecord& record);
 ResultRecord decode_result_record(const mp::Bytes& body);

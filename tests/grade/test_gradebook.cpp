@@ -19,7 +19,7 @@
 namespace pdc::grade {
 namespace {
 
-using store_test::fresh_dir;
+using store_test::ScratchDir;
 
 Grade example_grade() {
   Grade grade;
@@ -102,7 +102,8 @@ TEST(GradeBookConversion, RejectsAVerdictNameFromADisagreeingVersion) {
 }
 
 TEST(GradeBook, RecordedVerdictsSurviveAReopen) {
-  const std::string dir = fresh_dir("gradebook");
+  const ScratchDir scratch("gradebook");
+  const std::string& dir = scratch.path();
   store::StoreConfig config;
   config.dir = dir;
   {
@@ -126,7 +127,8 @@ TEST(GradeBook, RecordedVerdictsSurviveAReopen) {
 }
 
 TEST(GradeBook, HookJournalsEveryCorpusVerdictBeforeTheGraderReturns) {
-  const std::string dir = fresh_dir("gradebook-hook");
+  const ScratchDir scratch("gradebook-hook");
+  const std::string& dir = scratch.path();
   store::StoreConfig config;
   config.dir = dir;
   store::Store store(config);

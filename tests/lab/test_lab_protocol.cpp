@@ -138,6 +138,48 @@ TEST(LabProtocol, DispatchRoundTripsTheFullSubmit) {
 
 // ---- digest --------------------------------------------------------------
 
+// ---- fit_result ----------------------------------------------------------
+
+TEST(LabProtocol, LinesThatFitStopsAtEitherBudget) {
+  const std::vector<std::string> lines = {"ab", "cde", "f"};
+  EXPECT_EQ(lines_that_fit(lines, 10, 100), 3u);
+  EXPECT_EQ(lines_that_fit(lines, 2, 100), 2u);           // the line budget
+  EXPECT_EQ(lines_that_fit(lines, 10, (4 + 2) + (4 + 3)), 2u);  // bytes
+  EXPECT_EQ(lines_that_fit(lines, 10, 5), 0u);
+}
+
+TEST(LabProtocol, FitResultLeavesAResultThatFitsUntouched) {
+  Result result;
+  result.output = {"pi ~= 3.14", std::string(kMaxLineBytes, 'x')};
+  result.error = std::string(kMaxReasonBytes, 'e');
+  const Result before = result;
+  fit_result(result);
+  EXPECT_EQ(result, before);
+}
+
+TEST(LabProtocol, FitResultKeepsTheFrameWithinTheControlClamp) {
+  // Every line within its clamp, but 300 of them pass the byte budget;
+  // and an error past its clamp.
+  Result result;
+  result.output.assign(300, std::string(kMaxLineBytes, 'x'));
+  result.error = std::string(kMaxReasonBytes + 10, 'e');
+  fit_result(result);
+
+  EXPECT_EQ(result.error.size(), kMaxReasonBytes);
+  std::size_t bytes = 0;
+  for (const std::string& line : result.output) bytes += 4 + line.size();
+  EXPECT_LE(bytes, kMaxOutputBytes);
+  const std::size_t kept = result.output.size() - 1;
+  EXPECT_EQ(result.output.back(),
+            "[output truncated: kept " + std::to_string(kept) +
+                " of 300 lines, 0 cut to 4096 bytes]");
+  // The longest prefix: one more line would leave no room for a marker of
+  // up to 128 bytes.
+  const std::size_t kept_bytes = kept * (4 + kMaxLineBytes);
+  EXPECT_GT(kept_bytes + (4 + kMaxLineBytes) + (4 + 128), kMaxOutputBytes);
+  EXPECT_EQ(decode_result(body_of(encode_result(result))), result);
+}
+
 TEST(LabDigest, IdenticalSubmissionsShareADigest) {
   EXPECT_EQ(digest(example_submit()), digest(example_submit()));
 }
@@ -252,6 +294,14 @@ TEST(LabHostile, ResultLineCountBeyondBodyRejectedBeforeReserve) {
   EXPECT_THROW(decode_result(body), ProtocolError);
 }
 
+TEST(LabHostile, ResultCachedFlagOtherThanZeroOrOneRejected) {
+  Result result;
+  result.cached = true;
+  mp::Bytes body = body_of(encode_result(result));
+  body[12] = std::byte{2};  // the u16 flag after job_id and exit_code
+  EXPECT_THROW(decode_result(body), ProtocolError);
+}
+
 TEST(LabHostile, UnknownJobStateRejected) {
   mp::Bytes body;
   wire::put_u64(body, 1);
@@ -312,9 +362,8 @@ TEST(LabHostile, DispatchWithUnknownJobKindRejected) {
 Report example_cohort_report() {
   Report report;
   report.role = ReportRole::Cohort;
-  report.cohort = "ada";
   store::CohortReport& a = report.aggregate;
-  a.cohort = "ada";  // the decoder mirrors the frame's cohort field
+  a.cohort = "ada";
   a.results = 12;
   a.failures = 2;
   a.grades = 5;
@@ -338,7 +387,7 @@ TEST(LabProtocol, ReportQueryRoundTrips) {
   query.role = ReportRole::Query;
   query.token = "hands-on";
   query.tenant = "ada";
-  query.cohort = "";  // every cohort
+  query.aggregate.cohort = "";  // every cohort
   EXPECT_EQ(decode_report(body_of(encode_report(query))), query);
 }
 

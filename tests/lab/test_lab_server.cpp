@@ -442,16 +442,103 @@ TEST(LabServer, HostileSubmitFramesGetBadRequestAndNeverKillTheServer) {
 TEST(LabServer, OversizedSourcePayloadIsRejectedNotExecuted) {
   Server server(test_config());
   server.start();
-  Client client(client_config(server.endpoint()));
 
   protocol::Submit submit = pi_submit();
   submit.kind = JobKind::Notebook;
   submit.name.clear();
-  submit.source.assign((64u << 10) + 1, 'x');  // one byte over the clamp
+  submit.source.assign(protocol::kMaxSourceBytes + 1, 'x');  // one over
+  // The client's own encoder refuses to send it...
+  EXPECT_THROW((void)protocol::encode_submit(submit), net::ProtocolError);
+
+  // ...so forge what a hostile client sends: the source at the clamp plus
+  // one byte, with the source length and the header's body length bumped.
+  submit.source.pop_back();
+  mp::Bytes frame = protocol::encode_submit(submit);
+  frame.push_back(std::byte{'x'});
+  const auto patch_u32 = [&frame](std::size_t at, std::size_t value) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      frame[at + i] = static_cast<std::byte>(value >> (8 * i));
+    }
+  };
+  patch_u32(8, frame.size() - wire::kHeaderBytes);  // header body_len
+  patch_u32(frame.size() - 5 - protocol::kMaxSourceBytes,
+            protocol::kMaxSourceBytes + 1);  // the source's length prefix
+  const auto reject = poke(server.endpoint(), frame);
+  ASSERT_TRUE(reject.has_value());
+  EXPECT_EQ(reject->code, RejectCode::BadRequest);
+  EXPECT_EQ(server.executor().executions(), 0u);
+}
+
+// ---- results past the frame's clamps --------------------------------------
+// A notebook cell can print more than a Result frame carries. The executor
+// fits the Result where it is formed, so the client decodes it and a shard
+// worker's answer costs the pool one attempt, not three.
+
+protocol::Submit notebook_submit(const std::string& source) {
+  protocol::Submit cell;
+  cell.token = "hands-on";
+  cell.tenant = "ada";
+  cell.kind = JobKind::Notebook;
+  cell.source = source;
+  return cell;
+}
+
+/// `!cat` of a 5000-byte file name: one 5032-byte error line.
+protocol::Submit long_line_cell() {
+  return notebook_submit("!cat " + std::string(5000, 'x'));
+}
+
+/// 5000 `!cat a` lines: 5000 output lines.
+protocol::Submit many_lines_cell() {
+  std::string source;
+  for (int i = 0; i < 5000; ++i) source += "!cat a\n";
+  return notebook_submit(source);
+}
+
+void expect_truncated(const protocol::Result& result) {
+  EXPECT_EQ(result.exit_code, 0) << result.error;
+  ASSERT_FALSE(result.output.empty());
+  EXPECT_LE(result.output.size(), protocol::kMaxOutputLines);
+  for (const std::string& line : result.output) {
+    EXPECT_LE(line.size(), protocol::kMaxLineBytes);
+  }
+  EXPECT_EQ(result.output.back().rfind("[output truncated: kept ", 0), 0u)
+      << result.output.back();
+}
+
+TEST(LabServer, OversizedNotebookOutputIsTruncatedNotUndecodable) {
+  Server server(test_config());
+  server.start();
+  Client client(client_config(server.endpoint()));
+
+  const protocol::Result long_line = run_job(client, long_line_cell());
+  expect_truncated(long_line);
+  ASSERT_EQ(long_line.output.size(), 2u);  // the cut line, then the marker
+  EXPECT_EQ(long_line.output[0].size(), protocol::kMaxLineBytes);
+
+  const protocol::Result many = run_job(client, many_lines_cell());
+  expect_truncated(many);
+  EXPECT_EQ(many.output.size(), protocol::kMaxOutputLines);
+  EXPECT_EQ(many.output.back(),
+            "[output truncated: kept 4095 of 5000 lines, 0 cut to 4096 bytes]");
+}
+
+TEST(LabServer, LongRejectReasonIsCutToTheWireClamp) {
+  Server server(test_config());
+  server.start();
+  Client client(client_config(server.endpoint()));
+
+  // The grade-option error quotes the option's value back.
+  protocol::Submit submit;
+  submit.token = "hands-on";
+  submit.tenant = "ada";
+  submit.kind = JobKind::Grade;
+  submit.name = "spmd~race#0@np4";
+  submit.source = "k=" + std::string(3000, '9');
   const auto outcome = client.submit(submit);
   ASSERT_FALSE(outcome.accepted());
   EXPECT_EQ(outcome.reject->code, RejectCode::BadRequest);
-  EXPECT_EQ(server.executor().executions(), 0u);
+  EXPECT_EQ(outcome.reject->reason.size(), protocol::kMaxReasonBytes);
 }
 
 TEST(LabServer, NotebookJobsGetAFreshEngineEachTime) {
@@ -560,6 +647,20 @@ protocol::Submit patternlet_submit(const std::string& name, int np = 2) {
   submit.name = name;
   submit.np = np;
   return submit;
+}
+
+TEST(LabServer, ShardModeTruncatesOversizedOutputInOneAttempt) {
+  Server server(shard_config());
+  server.start();
+  Client client(client_config(server.endpoint()));
+
+  expect_truncated(run_job(client, long_line_cell()));
+  expect_truncated(run_job(client, many_lines_cell()));
+  // A worker whose Result the pool could not decode would be reaped and
+  // respawned for the next attempt.
+  ASSERT_NE(server.shard_pool(), nullptr);
+  EXPECT_EQ(server.shard_pool()->executions(), 2u);
+  EXPECT_EQ(server.shard_pool()->respawns(), 0u);
 }
 
 TEST(LabServer, CancelDequeuesAQueuedJobAndRefundsTheQuota) {

@@ -48,6 +48,27 @@ ClusterResult run_cluster(int np, bool use_shm = false) {
   return run_socket_cluster(options, workload);
 }
 
+/// A hostile job that failed must have failed cleanly: every failing rank
+/// names a failure a hostile plan can cause — its own injected abort, its
+/// job aborted because another rank died, or a send to a peer that is
+/// already gone — and at least one rank names the injected abort.
+void expect_clean_failure(const ClusterResult& result, int seed) {
+  const auto starts_with = [](const std::string& s, const char* prefix) {
+    return s.rfind(prefix, 0) == 0;
+  };
+  bool injected = false;
+  for (const std::string& error : result.errors) {
+    if (error.empty()) continue;
+    injected |= starts_with(error, "chaos: injected abort");
+    EXPECT_TRUE(starts_with(error, "chaos: injected abort") ||
+                starts_with(error, "mp job aborted") ||
+                starts_with(error, "net: rank "))
+        << "seed " << seed << ": " << error;
+  }
+  EXPECT_TRUE(injected) << "seed " << seed
+                        << " failed without an injected abort";
+}
+
 TEST(ChaosNetSweep, NoisePlansAreResultPreserving) {
   const int seeds = sweep_seeds(4);
   for (int seed = 1; seed <= seeds; ++seed) {
@@ -88,11 +109,8 @@ TEST(ChaosNetSweep, HostilePlansFailCleanOrSucceedNeverHang) {
       const ClusterResult result = run_cluster(3);
       if (!result.ok()) {
         ++aborted_jobs;
-        // Clean failure: every failing rank carries a typed error message,
-        // and the cluster call RETURNED (the watchdog is the hang check).
-        for (const std::string& error : result.errors) {
-          if (!error.empty()) EXPECT_FALSE(error.empty());
-        }
+        // The cluster call RETURNED (the watchdog is the hang check).
+        expect_clean_failure(result, seed);
       } else {
         EXPECT_EQ(result.output[0][0], "total=300 gathered=3")
             << "seed " << seed;
@@ -175,11 +193,7 @@ TEST(ChaosShmSweep, HostilePlansFailCleanOrSucceedNeverHang) {
       const ClusterResult result = run_cluster(3, /*use_shm=*/true);
       if (!result.ok()) {
         ++aborted_jobs;
-        for (const std::string& error : result.errors) {
-          if (!error.empty()) {
-            EXPECT_FALSE(error.empty());
-          }
-        }
+        expect_clean_failure(result, seed);
       } else {
         EXPECT_EQ(result.output[0][0], "total=300 gathered=3")
             << "seed " << seed;

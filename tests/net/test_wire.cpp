@@ -30,6 +30,15 @@ const std::byte (&header_image(std::uint32_t magic, std::uint16_t version,
   return raw_header;
 }
 
+/// The body of a whole handshake frame (what decode_hello/decode_welcome
+/// consume), after checking its header.
+mp::Bytes body_of(const mp::Bytes& frame, FrameKind kind) {
+  const mp::Bytes body(frame.begin() + kHeaderBytes, frame.end());
+  EXPECT_EQ(mp::Bytes(frame.begin(), frame.begin() + kHeaderBytes),
+            encode_header(kind, body.size()));
+  return body;
+}
+
 TEST(WireHeader, RoundTrips) {
   const mp::Bytes encoded = encode_header(FrameKind::Data, 123);
   ASSERT_EQ(encoded.size(), kHeaderBytes);
@@ -105,7 +114,8 @@ TEST(WireHello, RoundTrips) {
   hello.rank = 2;
   hello.endpoint = "unix:/tmp/x/rank2.sock";
   hello.hostname = "node1";
-  const Hello back = decode_hello(encode_hello(hello));
+  const Hello back =
+      decode_hello(body_of(encode_hello(hello), FrameKind::Hello));
   EXPECT_EQ(back.job, hello.job);
   EXPECT_EQ(back.np, 4);
   EXPECT_EQ(back.rank, 2);
@@ -114,7 +124,8 @@ TEST(WireHello, RoundTrips) {
 }
 
 TEST(WireHello, RejectsTruncatedBody) {
-  mp::Bytes body = encode_hello({"job", 4, 1, "unix:/s", "h"});
+  mp::Bytes body =
+      body_of(encode_hello({"job", 4, 1, "unix:/s", "h"}), FrameKind::Hello);
   for (const std::size_t cut : {std::size_t{0}, std::size_t{3},
                                 body.size() / 2, body.size() - 1}) {
     mp::Bytes truncated(body.begin(),
@@ -124,7 +135,8 @@ TEST(WireHello, RejectsTruncatedBody) {
 }
 
 TEST(WireHello, RejectsTrailingGarbage) {
-  mp::Bytes body = encode_hello({"job", 4, 1, "unix:/s", "h"});
+  mp::Bytes body =
+      body_of(encode_hello({"job", 4, 1, "unix:/s", "h"}), FrameKind::Hello);
   body.push_back(std::byte{0x5a});
   EXPECT_THROW(decode_hello(body), ProtocolError);
 }
@@ -140,7 +152,8 @@ TEST(WireHello, RejectsHostileStringLength) {
 TEST(WireWelcome, RoundTrips) {
   Welcome welcome;
   welcome.peers = {{"unix:/a", "h0"}, {"unix:/b", "h1"}, {"tcp:1.2.3.4:5", "h2"}};
-  const Welcome back = decode_welcome(encode_welcome(welcome));
+  const Welcome back =
+      decode_welcome(body_of(encode_welcome(welcome), FrameKind::Welcome));
   ASSERT_EQ(back.peers.size(), 3u);
   EXPECT_EQ(back.peers[2].first, "tcp:1.2.3.4:5");
   EXPECT_EQ(back.peers[1].second, "h1");

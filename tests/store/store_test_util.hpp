@@ -7,24 +7,42 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <system_error>
 
 #include "mp/message.hpp"
 
 namespace pdc::store_test {
 
-/// A fresh, empty directory under /tmp for one test's store files.
-inline std::string fresh_dir(const std::string& tag) {
-  static std::atomic<int> counter{0};
-  const std::string dir = "/tmp/pdc-store-" + tag + "-" +
-                          std::to_string(::getpid()) + "-" +
-                          std::to_string(counter.fetch_add(1));
-  // Test processes never delete their directories, and pids recycle: a
-  // leftover from an earlier run with the same pid must not leak records
-  // into this test's store.
-  std::filesystem::remove_all(dir);
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+/// A fresh, empty directory under /tmp for one test's store files, removed
+/// with everything in it when the owner goes out of scope. Only the process
+/// that made it removes it: a forked kill-sweep child that unwinds instead
+/// of _exit()ing leaves the directory to its parent, and the parent reaps
+/// the child (drain_child) before its own owner goes out of scope.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag) {
+    static std::atomic<int> counter{0};
+    path_ = "/tmp/pdc-store-" + tag + "-" + std::to_string(owner_) + "-" +
+            std::to_string(counter.fetch_add(1));
+    // pids recycle: a leftover from an earlier run that died before its
+    // owners unwound must not leak records into this test's store.
+    std::filesystem::remove_all(path_);
+    ::mkdir(path_.c_str(), 0755);
+  }
+  ~ScratchDir() {
+    if (::getpid() != owner_) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  const pid_t owner_ = ::getpid();
+  std::string path_;
+};
 
 /// Raw file contents (the corruption tests forge and inspect log bytes).
 inline mp::Bytes read_file(const std::string& path) {

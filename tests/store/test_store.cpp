@@ -20,7 +20,7 @@ namespace pdc::store {
 namespace {
 
 using store_test::file_exists;
-using store_test::fresh_dir;
+using store_test::ScratchDir;
 using store_test::read_file;
 using store_test::write_file;
 
@@ -111,7 +111,8 @@ TEST(StoreCodec, RejectsAHostileLineCountBeforeAllocation) {
 // ---- recovery ------------------------------------------------------------
 
 TEST(Store, PutRecoverRoundTripsResultsAndGrades) {
-  const std::string dir = fresh_dir("roundtrip");
+  const ScratchDir scratch("roundtrip");
+  const std::string& dir = scratch.path();
   {
     Store store(config_for(dir));
     store.put_result(result_record(1, "ada"));
@@ -143,7 +144,8 @@ TEST(Store, PutRecoverRoundTripsResultsAndGrades) {
 }
 
 TEST(Store, UpsertsByKeyAndReplayKeepsTheLatest) {
-  const std::string dir = fresh_dir("upsert");
+  const ScratchDir scratch("upsert");
+  const std::string& dir = scratch.path();
   {
     Store store(config_for(dir));
     store.put_result(result_record(7, "ada", 1));
@@ -161,7 +163,8 @@ TEST(Store, UpsertsByKeyAndReplayKeepsTheLatest) {
 }
 
 TEST(Store, TornLogTailIsDroppedAndCounted) {
-  const std::string dir = fresh_dir("torn");
+  const ScratchDir scratch("torn");
+  const std::string& dir = scratch.path();
   {
     Store store(config_for(dir));
     store.put_result(result_record(1, "ada"));
@@ -185,7 +188,8 @@ TEST(Store, TornLogTailIsDroppedAndCounted) {
 }
 
 TEST(Store, MalformedBodiesAreCountedAndSkippedNeverFatal) {
-  const std::string dir = fresh_dir("malformed");
+  const ScratchDir scratch("malformed");
+  const std::string& dir = scratch.path();
   {
     Store store(config_for(dir));
     store.put_result(result_record(1, "ada"));
@@ -210,7 +214,8 @@ TEST(Store, MalformedBodiesAreCountedAndSkippedNeverFatal) {
 // ---- compaction ----------------------------------------------------------
 
 TEST(Store, CompactionPreservesStateAndResetsTheLog) {
-  const std::string dir = fresh_dir("compact");
+  const ScratchDir scratch("compact");
+  const std::string& dir = scratch.path();
   {
     Store store(config_for(dir));
     for (std::uint64_t d = 1; d <= 5; ++d) {
@@ -234,7 +239,8 @@ TEST(Store, CompactionPreservesStateAndResetsTheLog) {
 }
 
 TEST(Store, CompactEveryAutoCompacts) {
-  const std::string dir = fresh_dir("auto-compact");
+  const ScratchDir scratch("auto-compact");
+  const std::string& dir = scratch.path();
   StoreConfig config = config_for(dir);
   config.compact_every = 4;
   {
@@ -251,7 +257,8 @@ TEST(Store, CompactEveryAutoCompacts) {
 }
 
 TEST(Store, LeftoverSnapshotTmpIsDiscardedAtOpen) {
-  const std::string dir = fresh_dir("tmp-leftover");
+  const ScratchDir scratch("tmp-leftover");
+  const std::string& dir = scratch.path();
   {
     Store store(config_for(dir));
     store.put_result(result_record(1, "ada"));
@@ -268,7 +275,8 @@ TEST(Store, LeftoverSnapshotTmpIsDiscardedAtOpen) {
 }
 
 TEST(Store, TornSnapshotTailRecoversThePrefix) {
-  const std::string dir = fresh_dir("torn-snapshot");
+  const ScratchDir scratch("torn-snapshot");
+  const std::string& dir = scratch.path();
   {
     Store store(config_for(dir));
     for (std::uint64_t d = 1; d <= 3; ++d) {
@@ -288,7 +296,8 @@ TEST(Store, TornSnapshotTailRecoversThePrefix) {
 }
 
 TEST(Store, SnapshotPlusLogDisagreementReplaysLogOverSnapshot) {
-  const std::string dir = fresh_dir("disagree");
+  const ScratchDir scratch("disagree");
+  const std::string& dir = scratch.path();
   {
     Store store(config_for(dir));
     store.put_result(result_record(7, "ada", 1));
@@ -303,7 +312,8 @@ TEST(Store, SnapshotPlusLogDisagreementReplaysLogOverSnapshot) {
 }
 
 TEST(Store, CompactAbortedBeforeTheTmpWriteChangesNothing) {
-  const std::string dir = fresh_dir("abort-compact");
+  const ScratchDir scratch("abort-compact");
+  const std::string& dir = scratch.path();
   auto store = std::make_unique<Store>(config_for(dir));
   store->put_result(result_record(1, "ada"));
   {
@@ -323,7 +333,8 @@ TEST(Store, CompactAbortedBeforeTheTmpWriteChangesNothing) {
 }
 
 TEST(Store, CompactAbortedBeforeTheRenameLeavesTheOldStateAuthoritative) {
-  const std::string dir = fresh_dir("abort-swap");
+  const ScratchDir scratch("abort-swap");
+  const std::string& dir = scratch.path();
   auto store = std::make_unique<Store>(config_for(dir));
   store->put_result(result_record(1, "ada"));
   {
@@ -348,7 +359,8 @@ TEST(Store, ConcurrentPutsAndCompactionsLoseNothing) {
   // The put/compact race the shared gate exists for: a record must never
   // sit in the log without being indexed (or vice versa) while the log is
   // reset under a snapshot.
-  const std::string dir = fresh_dir("race");
+  const ScratchDir scratch("race");
+  const std::string& dir = scratch.path();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 32;
   {
@@ -378,7 +390,8 @@ TEST(Store, ConcurrentPutsAndCompactionsLoseNothing) {
 // ---- reports -------------------------------------------------------------
 
 TEST(StoreReport, AggregatesOneCohort) {
-  const std::string dir = fresh_dir("report");
+  const ScratchDir scratch("report");
+  const std::string& dir = scratch.path();
   Store store(config_for(dir));
   store.put_result(result_record(1, "ada"));
   store.put_result(result_record(2, "ada"));
@@ -418,7 +431,8 @@ TEST(StoreReport, AggregatesOneCohort) {
 }
 
 TEST(StoreReport, EmptyCohortIsAllZeroAndStillRenders) {
-  Store store(config_for(fresh_dir("empty-report")));
+  const ScratchDir scratch("empty-report");
+  Store store(config_for(scratch.path()));
   const CohortReport report = store.report("nobody");
   EXPECT_EQ(report.results, 0u);
   EXPECT_EQ(report.grades, 0u);
@@ -433,7 +447,8 @@ TEST(StoreReport, EmptyCohortIsAllZeroAndStillRenders) {
 }
 
 TEST(StoreReport, CohortsAreTheSortedUnionOfTenantsAndGradeCohorts) {
-  Store store(config_for(fresh_dir("cohorts")));
+  const ScratchDir scratch("cohorts");
+  Store store(config_for(scratch.path()));
   store.put_result(result_record(1, "zoe"));
   store.put_result(result_record(2, "ada"));
   store.put_grade(grade_record("2026s", "m", "s", 1.0));
@@ -456,12 +471,14 @@ TEST(StoreReport, RenderingIsAPureFunctionOfTheRecordSet) {
       grade_record("ada", "m1", "s2", 7.0, "flaky"),
       grade_record("ada", "m2", "s1", 0.0, "pass")};
 
-  const std::string dir_a = fresh_dir("pure-a");
+  const ScratchDir scratch_a("pure-a");
+  const std::string& dir_a = scratch_a.path();
   auto store_a = std::make_unique<Store>(config_for(dir_a));
   for (const auto& r : results) store_a->put_result(r);
   for (const auto& g : grades) store_a->put_grade(g);
 
-  Store store_b(config_for(fresh_dir("pure-b")));
+  const ScratchDir scratch_b("pure-b");
+  Store store_b(config_for(scratch_b.path()));
   for (auto it = grades.rbegin(); it != grades.rend(); ++it) {
     store_b.put_grade(*it);
   }

@@ -38,7 +38,7 @@
 namespace pdc::store {
 namespace {
 
-using store_test::fresh_dir;
+using store_test::ScratchDir;
 
 constexpr std::uint32_t kChildAborted = 2;   ///< InjectedAbort → _exit
 constexpr std::uint32_t kChildFinished = 3;  ///< ran out of work, no abort
@@ -164,7 +164,8 @@ void verify_recovery(const std::string& dir,
   // Invariant 3b: the recovered store renders byte-identically to a fresh
   // store holding exactly the recovered record set — the report is a pure
   // function of what survived, not of the crash history.
-  Store fresh(durable_config(fresh_dir("kill-fresh")));
+  const ScratchDir fresh_scratch("kill-fresh");
+  Store fresh(durable_config(fresh_scratch.path()));
   for (const auto& [digest, record] : results) fresh.put_result(record);
   for (const auto& [key, record] : grades) fresh.put_grade(record);
   EXPECT_EQ(render_report(recovered->report("ada")),
@@ -184,7 +185,8 @@ TEST(StoreKillSweep, KillDuringAppendLosesNoAckedRecord) {
   const int seeds = chaos_test::sweep_seeds(6);
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(seeds);
        ++seed) {
-    const std::string dir = fresh_dir("kill-append");
+    const ScratchDir scratch("kill-append");
+    const std::string& dir = scratch.path();
     // This seed's scenario: ack `before` records chaos-off, then die at
     // checkpoint `op` of the next append (0 = before the header, 1 =
     // between header and body — a torn tail on disk, 2 = before the fsync).
@@ -230,7 +232,8 @@ TEST(StoreKillSweep, KillDuringCompactLosesNoAckedRecord) {
   const int seeds = chaos_test::sweep_seeds(6);
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(seeds);
        ++seed) {
-    const std::string dir = fresh_dir("kill-compact");
+    const ScratchDir scratch("kill-compact");
+    const std::string& dir = scratch.path();
     const auto count = static_cast<std::uint32_t>(3 + seed % 3);
     const std::uint64_t op = seed % 2;  // 0 = before tmp, 1 = before rename
 
@@ -277,7 +280,8 @@ TEST(StoreKillSweep, SigkillAtARandomMomentLosesNoAckedRecord) {
   const int seeds = chaos_test::sweep_seeds(6);
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(seeds);
        ++seed) {
-    const std::string dir = fresh_dir("kill-sigkill");
+    const ScratchDir scratch("kill-sigkill");
+    const std::string& dir = scratch.path();
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
     const pid_t pid = ::fork();

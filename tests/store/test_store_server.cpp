@@ -34,7 +34,7 @@ namespace {
 using net_test::run_command;
 using protocol::JobKind;
 using protocol::RejectCode;
-using store_test::fresh_dir;
+using store_test::ScratchDir;
 
 const std::string kBin = PDCLAB_TEST_BIN;
 
@@ -94,7 +94,8 @@ protocol::Result run_job(Client& client, const protocol::Submit& submit) {
 }
 
 TEST(StoreServer, JournalsEveryTerminalResultBeforeTheAck) {
-  const std::string dir = fresh_dir("server-journal");
+  const ScratchDir scratch("server-journal");
+  const std::string& dir = scratch.path();
   Server server(store_config(dir));
   server.start();
   ASSERT_NE(server.store(), nullptr);
@@ -119,7 +120,8 @@ TEST(StoreServer, JournalsEveryTerminalResultBeforeTheAck) {
 }
 
 TEST(StoreServer, GradeVerdictsLandInTheGradeIndex) {
-  const std::string dir = fresh_dir("server-grade");
+  const ScratchDir scratch("server-grade");
+  const std::string& dir = scratch.path();
   Server server(store_config(dir));
   server.start();
   Client client(client_config(server.endpoint()));
@@ -142,7 +144,8 @@ TEST(StoreServer, GradeVerdictsLandInTheGradeIndex) {
 }
 
 TEST(StoreServer, WarmStartServesRecoveredResultsWithoutReexecuting) {
-  const std::string dir = fresh_dir("server-warm");
+  const ScratchDir scratch("server-warm");
+  const std::string& dir = scratch.path();
   const std::vector<std::uint64_t> seeds = {11, 12, 13};
   std::map<std::uint64_t, protocol::Result> first_results;
   {
@@ -195,7 +198,8 @@ class HoldEnv {
 };
 
 TEST(StoreServer, FailuresAreJournaledButNeverWarmed) {
-  const std::string dir = fresh_dir("server-failure");
+  const ScratchDir scratch("server-failure");
+  const std::string& dir = scratch.path();
   const std::uint64_t digest = protocol::digest(pi_submit(77));
   {
     std::unique_ptr<Server> server;
@@ -236,7 +240,8 @@ TEST(StoreServer, FailuresAreJournaledButNeverWarmed) {
 }
 
 TEST(StoreServer, ReportStreamsTheStoresAggregates) {
-  const std::string dir = fresh_dir("server-report");
+  const ScratchDir scratch("server-report");
+  const std::string& dir = scratch.path();
   Server server(store_config(dir));
   server.start();
   Client client(client_config(server.endpoint()));
@@ -249,7 +254,7 @@ TEST(StoreServer, ReportStreamsTheStoresAggregates) {
   ASSERT_TRUE(outcome.ok())
       << (outcome.reject ? outcome.reject->reason : "");
   ASSERT_EQ(outcome.cohorts.size(), 1u);
-  EXPECT_EQ(outcome.cohorts[0].cohort, "ada");
+  EXPECT_EQ(outcome.cohorts[0].aggregate.cohort, "ada");
   EXPECT_EQ(outcome.cohorts[0].aggregate, server.store()->report("ada"));
 
   // "" = every cohort the store knows.
@@ -278,7 +283,8 @@ TEST(StoreServer, ReportWithoutAStoreIsAnHonestReject) {
 }
 
 TEST(StoreServer, ReportCliPrintsTheCanonicalRendering) {
-  const std::string dir = fresh_dir("server-cli");
+  const ScratchDir scratch("server-cli");
+  const std::string& dir = scratch.path();
   Server server(store_config(dir));
   server.start();
   Client client(client_config(server.endpoint()));
@@ -304,7 +310,8 @@ TEST(StoreServer, SigtermMidLoadLosesNoAckedResult) {
   // killed with SIGTERM while a client is actively submitting, exits
   // cleanly — and the store it leaves behind holds every Result whose
   // frame the client actually received.
-  const std::string dir = fresh_dir("server-sigterm");
+  const ScratchDir scratch("server-sigterm");
+  const std::string& dir = scratch.path();
   const net::Endpoint endpoint = unique_unix_endpoint();
 
   const pid_t pid = ::fork();

@@ -18,7 +18,7 @@
 namespace pdc::store {
 namespace {
 
-using store_test::fresh_dir;
+using store_test::ScratchDir;
 using store_test::read_file;
 using store_test::write_file;
 
@@ -71,7 +71,8 @@ TEST(WalRecord, EncodeRejectsABodyOverTheClamp) {
 }
 
 TEST(WalScan, MissingFileIsAnEmptyLogNotAnError) {
-  const ScanResult result = Wal::scan(fresh_dir("scan") + "/absent.pdcs");
+  const ScratchDir scratch("scan");
+  const ScanResult result = Wal::scan(scratch.path() + "/absent.pdcs");
   EXPECT_TRUE(result.records.empty());
   EXPECT_EQ(result.valid_bytes, 0u);
   EXPECT_EQ(result.dropped_bytes, 0u);
@@ -79,7 +80,8 @@ TEST(WalScan, MissingFileIsAnEmptyLogNotAnError) {
 }
 
 TEST(WalScan, AppendedRecordsRoundTrip) {
-  const std::string dir = fresh_dir("roundtrip");
+  const ScratchDir scratch("roundtrip");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/wal.pdcs";
   {
     WalConfig config;
@@ -104,7 +106,8 @@ TEST(WalScan, AppendedRecordsRoundTrip) {
 }
 
 TEST(WalScan, ReopenRecoversAndAppendsAfterThePrefix) {
-  const std::string dir = fresh_dir("reopen");
+  const ScratchDir scratch("reopen");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"a", "b"});
   WalConfig config;
   config.fsync = false;
@@ -116,7 +119,8 @@ TEST(WalScan, ReopenRecoversAndAppendsAfterThePrefix) {
 }
 
 TEST(WalScan, TruncatedBodyIsDroppedAndReopenTruncatesIt) {
-  const std::string dir = fresh_dir("torn-body");
+  const ScratchDir scratch("torn-body");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"alpha", "beta", "gamma"});
   mp::Bytes contents = read_file(path);
   // Cut mid-body of the last record: a crash between the header write and
@@ -145,7 +149,8 @@ TEST(WalScan, TruncatedBodyIsDroppedAndReopenTruncatesIt) {
 }
 
 TEST(WalScan, TruncatedHeaderIsDropped) {
-  const std::string dir = fresh_dir("torn-header");
+  const ScratchDir scratch("torn-header");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"alpha", "beta"});
   mp::Bytes contents = read_file(path);
   // A crash before the header write finished: 7 stray header bytes.
@@ -161,7 +166,8 @@ TEST(WalScan, TruncatedHeaderIsDropped) {
 }
 
 TEST(WalScan, BitFlippedBodyIsACrcMismatch) {
-  const std::string dir = fresh_dir("bitflip-body");
+  const ScratchDir scratch("bitflip-body");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"alpha", "beta"});
   mp::Bytes contents = read_file(path);
   contents.back() ^= std::byte{0x01};  // flip one bit of "beta"'s body
@@ -175,7 +181,8 @@ TEST(WalScan, BitFlippedBodyIsACrcMismatch) {
 }
 
 TEST(WalScan, BitFlippedCrcFieldIsACrcMismatch) {
-  const std::string dir = fresh_dir("bitflip-crc");
+  const ScratchDir scratch("bitflip-crc");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"alpha"});
   mp::Bytes contents = read_file(path);
   contents[12] ^= std::byte{0x80};  // the body_crc field, not the body
@@ -187,7 +194,8 @@ TEST(WalScan, BitFlippedCrcFieldIsACrcMismatch) {
 }
 
 TEST(WalScan, OversizedLengthFieldStopsTheScanBeforeAllocating) {
-  const std::string dir = fresh_dir("oversized");
+  const ScratchDir scratch("oversized");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"alpha"});
   mp::Bytes contents = read_file(path);
   // Forge a header claiming a body far over the clamp (0xFFFFFFFF would be
@@ -209,7 +217,8 @@ TEST(WalScan, OversizedLengthFieldStopsTheScanBeforeAllocating) {
 }
 
 TEST(WalScan, BadMagicStopsTheScan) {
-  const std::string dir = fresh_dir("bad-magic");
+  const ScratchDir scratch("bad-magic");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"alpha"});
   mp::Bytes contents = read_file(path);
   mp::Bytes garbage = Wal::encode_record(RecordKind::Result, 0, bytes_of("x"));
@@ -223,7 +232,8 @@ TEST(WalScan, BadMagicStopsTheScan) {
 }
 
 TEST(WalScan, UnknownRecordKindStopsTheScan) {
-  const std::string dir = fresh_dir("bad-kind");
+  const ScratchDir scratch("bad-kind");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"alpha"});
   mp::Bytes contents = read_file(path);
   mp::Bytes forged = Wal::encode_record(RecordKind::Result, 0, bytes_of("x"));
@@ -242,7 +252,8 @@ TEST(WalScan, MidFileCorruptionDropsEverythingAfterIt) {
   // The contract is the longest valid PREFIX: records after a corrupt one
   // are unreachable even if they would scan cleanly in isolation (their
   // framing cannot be trusted once the stream lost sync).
-  const std::string dir = fresh_dir("midfile");
+  const ScratchDir scratch("midfile");
+  const std::string& dir = scratch.path();
   const std::string path = build_log(dir, {"alpha", "beta", "gamma", "delta"});
   mp::Bytes contents = read_file(path);
   const std::size_t second = kRecordHeaderBytes + 5;  // end of "alpha"
@@ -259,7 +270,8 @@ TEST(WalScan, MidFileCorruptionDropsEverythingAfterIt) {
 }
 
 TEST(WalReset, EmptiesTheLogAndAppendsRestartCleanly) {
-  const std::string dir = fresh_dir("reset");
+  const ScratchDir scratch("reset");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/wal.pdcs";
   WalConfig config;
   config.fsync = false;
@@ -276,7 +288,8 @@ TEST(WalReset, EmptiesTheLogAndAppendsRestartCleanly) {
 }
 
 TEST(WalSync, FsyncOffNeverPaysAnFsync) {
-  const std::string dir = fresh_dir("nosync");
+  const ScratchDir scratch("nosync");
+  const std::string& dir = scratch.path();
   WalConfig config;
   config.fsync = false;
   Wal wal(dir + "/wal.pdcs", config);
@@ -287,7 +300,8 @@ TEST(WalSync, FsyncOffNeverPaysAnFsync) {
 }
 
 TEST(WalGroupCommit, ConcurrentAppendersShareFsyncsAndLoseNothing) {
-  const std::string dir = fresh_dir("group");
+  const ScratchDir scratch("group");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/wal.pdcs";
   constexpr int kThreads = 8;
   constexpr int kPerThread = 16;
@@ -320,7 +334,8 @@ TEST(WalGroupCommit, ConcurrentAppendersShareFsyncsAndLoseNothing) {
 TEST(WalChaos, TargetedAbortsLandOnTheStoreLaneCheckpoints) {
   // Decision 0 on the store lane is "store.append" (before the header):
   // the abort leaves zero bytes of the record behind.
-  const std::string dir = fresh_dir("chaos");
+  const ScratchDir scratch("chaos");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/wal.pdcs";
   WalConfig config;
   config.fsync = false;
