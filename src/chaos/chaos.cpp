@@ -278,13 +278,19 @@ bool enabled() noexcept {
 int current_actor() noexcept { return tl_actor; }
 
 ActorScope::ActorScope(int actor) noexcept
-    : previous_(tl_actor), previous_ops_(tl_counter.ops) {
+    : previous_(tl_actor),
+      previous_epoch_(tl_counter.epoch),
+      previous_ops_(tl_counter.ops) {
   tl_actor = actor;
   tl_counter.ops = 0;
 }
 
 ActorScope::~ActorScope() {
+  // Restore the whole counter: a nested lane that decided on another plan
+  // re-stamped the epoch, and leaving that stamp would make the outer
+  // lane's next decision restart at op 0.
   tl_actor = previous_;
+  tl_counter.epoch = previous_epoch_;
   tl_counter.ops = previous_ops_;
 }
 

@@ -105,8 +105,8 @@ struct Config {
 /// hold to.
 ///
 /// A plan may instead be *bound* to a thread (BoundScope): the binding
-/// shadows the global plan for that thread and for every mp rank thread
-/// spawned under it (mp::run re-binds the launcher's plan in each rank).
+/// shadows the global plan for that thread and for every mp rank it
+/// launches (mp::run re-binds the launcher's plan in each rank).
 /// Bindings are how the pdc::grade worker fleet explores a different seeded
 /// schedule on every worker concurrently — something a single process-wide
 /// plan cannot express.
@@ -275,6 +275,7 @@ class ActorScope {
 
  private:
   int previous_;
+  std::uint64_t previous_epoch_;
   std::uint64_t previous_ops_;
 };
 

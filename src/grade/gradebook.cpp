@@ -2,13 +2,25 @@
 
 #include <utility>
 
+#include "lab/fields.hpp"
+#include "support/error.hpp"
+
 namespace pdc::grade {
 
 GradeBook::GradeBook(store::Store& store, std::string cohort,
                      std::string submission)
     : store_(store),
       cohort_(std::move(cohort)),
-      submission_(std::move(submission)) {}
+      submission_(std::move(submission)) {
+  // A Report frame names its cohort as an Identity: a longer cohort's
+  // grades would be journaled yet never reported.
+  if (cohort_.size() > lab::protocol::kMaxIdentityBytes) {
+    throw InvalidArgument("grade: cohort name of " +
+                          std::to_string(cohort_.size()) +
+                          " bytes exceeds the report clamp of " +
+                          std::to_string(lab::protocol::kMaxIdentityBytes));
+  }
+}
 
 store::GradeRecord GradeBook::to_record(const Grade& grade,
                                         const std::string& cohort,

@@ -23,7 +23,8 @@ class GradeBook {
  public:
   /// Journal into `store`, tagging every record with `cohort` (the class or
   /// batch) and `submission` (the student or run label). The store must
-  /// outlive the book.
+  /// outlive the book. Throws pdc::InvalidArgument on a cohort longer than
+  /// a Report frame carries (lab::protocol::kMaxIdentityBytes).
   GradeBook(store::Store& store, std::string cohort, std::string submission);
 
   /// Journal one verdict; durable on return.

@@ -30,8 +30,9 @@ class Executor {
   void validate(const protocol::Submit& submit) const;
 
   /// A live-output observer: called once per printed line, as the job
-  /// runs, from whichever rank thread printed. mp::run enters it under the
-  /// universe's log mutex, so calls never overlap and arrive in log order.
+  /// runs, on the thread of the rank that printed (rank 0's is the one that
+  /// called execute). mp::run enters it under the universe's log mutex, so
+  /// calls never overlap and arrive in log order.
   using LineSink = std::function<void(const std::string&)>;
 
   /// Run the job. Never throws: a failing program (including an injected

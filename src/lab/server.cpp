@@ -633,8 +633,8 @@ void Server::handle_report(const std::shared_ptr<Session>& session,
   const std::vector<std::string> cohorts =
       filter.empty() ? store_->cohorts() : std::vector<std::string>{filter};
   for (const std::string& cohort : cohorts) {
-    // A GradeBook cohort name a Report frame cannot carry (nor a query
-    // name) is skipped.
+    // A cohort name a Report frame cannot carry is skipped: GradeBook
+    // refuses one, but a journal written before it did may hold one.
     if (cohort.size() > protocol::kMaxIdentityBytes) continue;
     protocol::Report reply;
     reply.role = protocol::ReportRole::Cohort;

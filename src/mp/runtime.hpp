@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -10,8 +11,8 @@ namespace pdc::mp {
 
 /// Thrown by mp::run when a job exceeds its watchdog budget: the runtime
 /// aborts the universe (waking every rank blocked in a receive, barrier or
-/// collective with mp::Aborted), joins the ranks, and rethrows this — so a
-/// deadlocked program costs `watchdog_ms`, not forever. The pdc::grade
+/// collective with mp::Aborted), waits for the ranks, and rethrows this — so
+/// a deadlocked program costs `watchdog_ms`, not forever. The pdc::grade
 /// autograder classifies this outcome as a Hang verdict. A rank spinning in
 /// a CPU-bound livelock (never touching the runtime) is outside the
 /// watchdog's reach.
@@ -48,10 +49,11 @@ struct RunConfig {
   std::vector<int> topology;
 
   /// Observe every line the ranks print() as it happens (installed on the
-  /// Universe before any rank thread starts). RunResult::output still
-  /// carries the complete log; the sink is for live streaming — the lab
-  /// worker forwards these as incremental Status frames. Entered with the
-  /// universe's log mutex held, from whichever rank thread printed.
+  /// Universe before any rank starts). RunResult::output still carries the
+  /// complete log; the sink is for live streaming — the lab worker forwards
+  /// these as incremental Status frames. Entered with the universe's log
+  /// mutex held, on the thread of the rank that printed (rank 0's is the
+  /// caller's).
   std::function<void(const std::string&)> on_output;
 };
 
@@ -60,17 +62,29 @@ struct RunResult {
   std::vector<std::string> output;
 };
 
-/// Launch `cfg.num_procs` ranks, each executing `program(comm)` with its
-/// own world communicator, and join them (the in-process `mpirun`).
+/// Run `cfg.num_procs` ranks, each executing `program(comm)` with its own
+/// world communicator, and return when all have finished (the in-process
+/// `mpirun`). Rank 0 runs on the calling thread; ranks 1..np-1 run on a
+/// process-wide crew of cached threads, which park on a futex between jobs
+/// and grow to the peak concurrent demand, so a warm job creates no thread.
+/// One shared thread, started by the first job that sets it, enforces every
+/// job's `watchdog_ms`. A process forked without exec starts with an empty
+/// crew.
 ///
 /// If any rank throws, the job is aborted: ranks blocked in receives are
-/// woken with mp::Aborted, all ranks are joined, and the first error is
+/// woken with mp::Aborted, every rank finishes, and the first error is
 /// rethrown to the caller.
 RunResult run(const RunConfig& cfg,
               const std::function<void(Communicator&)>& program);
 
 /// Convenience overload: `run({.num_procs = n}, program)`.
 RunResult run(int num_procs, const std::function<void(Communicator&)>& program);
+
+namespace detail {
+/// Jobs currently registered with the watchdog thread (for tests: a job
+/// deregisters before run() returns).
+std::size_t watched_jobs();
+}  // namespace detail
 
 /// Helper used throughout the patternlets: round-robin hostnames over a
 /// simulated cluster of `num_nodes` nodes named "<stem>0".."<stem>N-1".

@@ -48,11 +48,14 @@ std::string_view Reader::string_view(std::uint32_t max_len) {
   }
   // The length is validated against the bytes actually present before it
   // can size anything — a hostile prefix cannot drive an allocation.
-  need(len);
-  const std::string_view s(
-      reinterpret_cast<const char*>(bytes_->data() + pos_), len);
-  pos_ += len;
-  return s;
+  return {reinterpret_cast<const char*>(take(len)), len};
+}
+
+const std::byte* Reader::take(std::size_t n) {
+  need(n);
+  const std::byte* at = bytes_->data() + pos_;
+  pos_ += n;
+  return at;
 }
 
 std::uint32_t Reader::count(std::uint32_t max_count,

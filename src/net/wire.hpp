@@ -122,6 +122,9 @@ class Reader {
   /// A list's u32 count, checked against `max_count` and against what the
   /// remaining bytes hold at `min_element_bytes` each, before any reserve.
   std::uint32_t count(std::uint32_t max_count, std::size_t min_element_bytes);
+  /// The next `n` raw bytes, in place: valid only while the body outlives
+  /// the Reader.
+  const std::byte* take(std::size_t n);
   /// All remaining bytes (the Data payload tail).
   mp::Bytes rest();
   /// Throws ProtocolError unless the cursor consumed the body exactly.

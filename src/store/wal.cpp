@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
@@ -12,6 +13,7 @@
 #include <utility>
 
 #include "chaos/chaos.hpp"
+#include "net/wire.hpp"
 #include "support/error.hpp"
 #include "trace/trace.hpp"
 
@@ -22,28 +24,6 @@ namespace {
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
   throw Error("store: " + what + " '" + path + "': " +
               std::strerror(errno));
-}
-
-void put_u16(mp::Bytes& out, std::uint16_t v) {
-  out.push_back(static_cast<std::byte>(v & 0xff));
-  out.push_back(static_cast<std::byte>((v >> 8) & 0xff));
-}
-
-void put_u32(mp::Bytes& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xff));
-  }
-}
-
-std::uint16_t get_u16(const std::byte* p) noexcept {
-  return static_cast<std::uint16_t>(std::to_integer<std::uint16_t>(p[0]) |
-                                    (std::to_integer<std::uint16_t>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const std::byte* p) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | std::to_integer<std::uint32_t>(p[i]);
-  return v;
 }
 
 /// The IEEE CRC-32 lookup table, built once.
@@ -82,14 +62,15 @@ mp::Bytes Wal::encode_record(RecordKind kind, std::uint16_t flags,
                           " bytes exceeds the " +
                           std::to_string(kMaxRecordBytes) + "-byte clamp");
   }
-  mp::Bytes frame;
-  frame.reserve(kRecordHeaderBytes + body.size());
-  put_u32(frame, kWalMagic);
-  put_u16(frame, static_cast<std::uint16_t>(kind));
-  put_u16(frame, flags);
-  put_u32(frame, static_cast<std::uint32_t>(body.size()));
-  put_u32(frame, crc32(body));
-  frame.insert(frame.end(), body.begin(), body.end());
+  // | magic u32 | kind u16 | flags u16 | body_len u32 | crc32 u32 | body |
+  mp::Bytes frame(kRecordHeaderBytes + body.size());
+  net::wire::Writer w(frame.data());
+  w.le(kWalMagic);
+  w.le(static_cast<std::uint16_t>(kind));
+  w.le(flags);
+  w.le(static_cast<std::uint32_t>(body.size()));
+  w.le(crc32(body));
+  std::copy(body.begin(), body.end(), frame.begin() + kRecordHeaderBytes);
   return frame;
 }
 
@@ -114,23 +95,24 @@ ScanResult Wal::scan(const std::string& path) {
   }
   ::close(fd);
 
-  std::size_t pos = 0;
+  net::wire::Reader reader(contents);
+  std::size_t pos = 0;  // start of the record being read
   const auto stop = [&](const std::string& reason) {
     result.valid_bytes = pos;
     result.dropped_bytes = contents.size() - pos;
     result.tail_reason = reason;
     return result;
   };
-  while (pos < contents.size()) {
-    if (contents.size() - pos < kRecordHeaderBytes) {
+  while (reader.remaining() > 0) {
+    pos = contents.size() - reader.remaining();
+    if (reader.remaining() < kRecordHeaderBytes) {
       return stop("truncated header");
     }
-    const std::byte* head = contents.data() + pos;
-    if (get_u32(head) != kWalMagic) return stop("bad magic");
-    const std::uint16_t kind = get_u16(head + 4);
-    const std::uint16_t flags = get_u16(head + 6);
-    const std::uint32_t body_len = get_u32(head + 8);
-    const std::uint32_t want_crc = get_u32(head + 12);
+    if (reader.u32() != kWalMagic) return stop("bad magic");
+    const std::uint16_t kind = reader.u16();
+    const std::uint16_t flags = reader.u16();
+    const std::uint32_t body_len = reader.u32();
+    const std::uint32_t want_crc = reader.u32();
     if (kind < static_cast<std::uint16_t>(RecordKind::Result) ||
         kind > static_cast<std::uint16_t>(RecordKind::Grade)) {
       return stop("unknown record kind " + std::to_string(kind));
@@ -139,19 +121,16 @@ ScanResult Wal::scan(const std::string& path) {
       return stop("oversized length field (" + std::to_string(body_len) +
                   " bytes)");
     }
-    if (contents.size() - pos - kRecordHeaderBytes < body_len) {
-      return stop("truncated body");
-    }
-    const std::byte* body = head + kRecordHeaderBytes;
+    if (reader.remaining() < body_len) return stop("truncated body");
+    const std::byte* body = reader.take(body_len);
     if (crc32(body, body_len) != want_crc) return stop("crc mismatch");
     WalRecord record;
     record.kind = static_cast<RecordKind>(kind);
     record.flags = flags;
     record.body.assign(body, body + body_len);
     result.records.push_back(std::move(record));
-    pos += kRecordHeaderBytes + body_len;
   }
-  result.valid_bytes = pos;
+  result.valid_bytes = contents.size();
   return result;
 }
 

@@ -138,8 +138,8 @@ class TraceSession {
 [[nodiscard]] int current_tid() noexcept;
 
 /// RAII: route the calling thread's events to pid lane `pid` (and name the
-/// lane, if a session is active). mp::run opens one per rank thread so every
-/// rank gets its own chrome://tracing process row.
+/// lane, if a session is active). mp::run opens one per rank so every rank
+/// gets its own chrome://tracing process row.
 class PidScope {
  public:
   explicit PidScope(int pid, const std::string& name = {}) noexcept;

@@ -60,6 +60,33 @@ TEST(ChaosPlan, ActorScopeNestsAndRestores) {
   EXPECT_EQ(current_actor(), 0);
 }
 
+TEST(ChaosPlan, NestedLaneOnAnotherPlanDoesNotRestartTheOuterLane) {
+  // The shape of mp::run's rank 0 on a grader worker: the worker's lane
+  // decides on plan P, a nested rank lane decides on plan Q, and the
+  // worker's next decision must continue P's stream at op 1, not op 0.
+  Config config;
+  config.seed = 13;
+  config.delay_probability = 1.0;  // every decision records its seq
+  config.max_delay_us = 1;
+  Plan outer_plan(config);
+  Plan inner_plan(config);
+  BoundScope outer_bound(outer_plan);
+  ActorScope outer(kGradeActorBase);
+  (void)outer_plan.perturb_delivery("mp.deliver");
+  {
+    BoundScope inner_bound(inner_plan);
+    ActorScope inner(0);
+    (void)inner_plan.perturb_delivery("mp.deliver");
+    (void)inner_plan.perturb_delivery("mp.deliver");
+  }
+  (void)outer_plan.perturb_delivery("mp.deliver");
+  const auto faults = outer_plan.faults();
+  ASSERT_EQ(faults.size(), 2u);
+  EXPECT_EQ(faults[0].seq, 0u);
+  EXPECT_EQ(faults[1].seq, 1u);
+  EXPECT_EQ(inner_plan.fault_count(), 2u);
+}
+
 TEST(ChaosPlan, FaultKindNames) {
   EXPECT_STREQ(fault_kind_name(FaultKind::Delay), "delay");
   EXPECT_STREQ(fault_kind_name(FaultKind::Reorder), "reorder");

@@ -13,6 +13,7 @@
 #include "../store/store_test_util.hpp"
 #include "grade/gradebook.hpp"
 #include "grade/grader.hpp"
+#include "lab/fields.hpp"
 #include "store/store.hpp"
 #include "support/error.hpp"
 
@@ -124,6 +125,17 @@ TEST(GradeBook, RecordedVerdictsSurviveAReopen) {
   EXPECT_EQ(GradeBook::from_record(record).verdict, Verdict::Flaky);
   EXPECT_EQ(grades.at({"2026s", "barrier~deadlock#0@np2", "ada"}).verdict,
             "hang");
+}
+
+TEST(GradeBook, RejectsACohortLongerThanAReportCarries) {
+  const ScratchDir scratch("gradebook-cohort");
+  store::StoreConfig config;
+  config.dir = scratch.path();
+  store::Store store(config);
+  const std::string longest(lab::protocol::kMaxIdentityBytes, 'c');
+  EXPECT_NO_THROW(GradeBook(store, longest, "ada"));
+  EXPECT_THROW(GradeBook(store, longest + "c", "ada"), InvalidArgument);
+  EXPECT_EQ(store.grade_count(), 0u);
 }
 
 TEST(GradeBook, HookJournalsEveryCorpusVerdictBeforeTheGraderReturns) {
