@@ -285,7 +285,15 @@ ActorScope::ActorScope(int actor) noexcept
   tl_counter.ops = 0;
 }
 
+ActorScope::ActorScope(int actor, Cursor& cursor) noexcept
+    : ActorScope(actor) {
+  tl_counter.epoch = cursor.epoch;
+  tl_counter.ops = cursor.ops;
+  cursor_ = &cursor;
+}
+
 ActorScope::~ActorScope() {
+  if (cursor_ != nullptr) *cursor_ = Cursor{tl_counter.epoch, tl_counter.ops};
   // Restore the whole counter: a nested lane that decided on another plan
   // re-stamped the epoch, and leaving that stamp would make the outer
   // lane's next decision restart at op 0.

@@ -248,8 +248,8 @@ class BoundScope {
 enum ActorLane : int {
   kTeamActorBase = 1 << 16,  ///< smp::parallel member t: base + t
   kPoolActorBase = 1 << 17,  ///< ThreadPool worker w: base + w
-  /// lab server session readers (one shared lane: each thread keeps its
-  /// own decision counter)
+  /// lab server sessions (one shared lane: each session keeps its own
+  /// decision counter, starting at op 0 per connection)
   kLabAdmitActor = 1 << 18,
   kLabWorkerActorBase = (1 << 18) + 1,  ///< lab server worker w: base + w
   kGradeActorBase = 1 << 19,            ///< grader worker w: base + w
@@ -267,7 +267,19 @@ enum ActorLane : int {
 /// before it took on the actor's role.
 class ActorScope {
  public:
+  /// Where a lane's decision stream stands between two scopes, so one
+  /// thread can serve many logical actors in turn and each keeps its own
+  /// stream (the lab server's readers multiplex sessions this way). A
+  /// default cursor is a stream that has not decided yet.
+  struct Cursor {
+    std::uint64_t epoch = 0;
+    std::uint64_t ops = 0;
+  };
+
   explicit ActorScope(int actor) noexcept;
+  /// Enter `actor` resuming `cursor`'s stream; the scope writes the
+  /// stream's position back into `cursor` when it closes.
+  ActorScope(int actor, Cursor& cursor) noexcept;
   ~ActorScope();
 
   ActorScope(const ActorScope&) = delete;
@@ -277,6 +289,7 @@ class ActorScope {
   int previous_;
   std::uint64_t previous_epoch_;
   std::uint64_t previous_ops_;
+  Cursor* cursor_ = nullptr;
 };
 
 // ---- runtime hooks -------------------------------------------------------

@@ -50,9 +50,9 @@ void Client::park_result(const mp::Bytes& body) {
 
 wire::Header Client::read_frame(mp::Bytes* body) {
   wire::Header header;
-  if (!net::recv_frame_for(socket_, &header, body,
-                           std::chrono::milliseconds(config_.reply_timeout_ms),
-                           "lab client")) {
+  if (!inbox_.next_for(socket_, &header, body,
+                       std::chrono::milliseconds(config_.reply_timeout_ms),
+                       "lab client")) {
     throw net::PeerLost("lab client: server closed the connection");
   }
   return header;

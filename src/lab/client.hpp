@@ -104,14 +104,16 @@ class Client {
   void close() noexcept;
 
  private:
-  /// Receive one frame within the reply deadline and park/dispatch it.
-  /// Returns the header kind. Throws on EOF, deadline, or garbage.
+  /// The next frame: parsed out of what the last read already buffered,
+  /// else one poll (within the reply deadline) and one recv of whatever the
+  /// server has sent. Throws on EOF, deadline, or garbage.
   wire::Header read_frame(mp::Bytes* body);
   /// Park a Result that arrived while waiting for something else.
   void park_result(const mp::Bytes& body);
 
   ClientConfig config_;
   net::Socket socket_;
+  net::FrameReader inbox_;
   bool open_ = false;
   std::map<std::uint64_t, protocol::Result> parked_results_;
   /// Streamed Status pushes that arrived while waiting for something else

@@ -1,7 +1,13 @@
 #include "lab/server.hpp"
 
+#include <fcntl.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <array>
+#include <cerrno>
 #include <chrono>
 #include <utility>
 
@@ -28,6 +34,11 @@ const char* exec_mode_name(ExecMode mode) noexcept {
 
 namespace {
 constexpr int kListenBacklog = 64;
+/// How long stop() lets the readers flush the replies still owed before
+/// they close every session anyway.
+constexpr auto kStopFlushBudget = std::chrono::seconds(5);
+/// An outbox grown past this for a burst is released once drained.
+constexpr std::size_t kOutboxKeepBytes = 64 * 1024;
 
 /// Lowercase hex of a digest — the store's per-submission tag for grade
 /// records, so re-gradings of the same mutant with different options
@@ -60,17 +71,130 @@ store::ResultRecord to_record(std::uint64_t digest,
 }
 }  // namespace
 
-bool Server::Session::send(const mp::Bytes& frame) {
-  std::lock_guard lock(send_mutex);
-  if (!alive.load(std::memory_order_acquire)) return false;
-  try {
-    net::send_all(socket, frame, nullptr, /*bye_ok=*/false, "lab server");
-    return true;
-  } catch (const Error&) {
-    alive.store(false, std::memory_order_release);
-    socket.shutdown_both();
+Server::Session::Session(net::Socket accepted, int epoll_fd,
+                         std::atomic<std::uint64_t>& lost_results)
+    : socket(std::move(accepted)),
+      epoll_fd_(epoll_fd),
+      lost_results_(lost_results),
+      watched_(EPOLLIN) {}
+
+bool Server::Session::write_some(const std::byte* data, std::size_t n,
+                                 std::size_t* written) {
+  while (*written < n) {
+    const ssize_t rc = ::send(socket.fd(), data + *written, n - *written,
+                              MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (rc > 0) {
+      *written += static_cast<std::size_t>(rc);
+      continue;
+    }
+    if (rc < 0 && errno == EINTR) continue;
+    return rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  return true;
+}
+
+bool Server::Session::send(const mp::Bytes& frames, bool ends_in_result) {
+  std::lock_guard lock(mutex_);
+  if (!open_) return false;
+  // Only an empty outbox lets new bytes go straight to the socket; anything
+  // else would overtake the replies queued ahead of them.
+  std::size_t written = 0;
+  if (outbox_begin_ == outbox_.size() &&
+      !write_some(frames.data(), frames.size(), &written)) {
+    drop_locked();
     return false;
   }
+  if (written < frames.size()) {
+    const std::size_t unsent =
+        outbox_.size() - outbox_begin_ + (frames.size() - written);
+    if (unsent > kOutboxCapBytes) {
+      drop_locked();
+      return false;
+    }
+    // Remember where an unwritten Result ends, so a drop can count it.
+    if (ends_in_result) result_ends_.push_back(queued_ + frames.size());
+    outbox_.insert(outbox_.end(),
+                   frames.begin() + static_cast<std::ptrdiff_t>(written),
+                   frames.end());
+  }
+  queued_ += frames.size();
+  written_ += written;
+  watch_locked();
+  return true;
+}
+
+void Server::Session::flush() {
+  std::lock_guard lock(mutex_);
+  if (!open_) return;
+  std::size_t written = 0;
+  if (!write_some(outbox_.data() + outbox_begin_,
+                  outbox_.size() - outbox_begin_, &written)) {
+    drop_locked();
+    return;
+  }
+  outbox_begin_ += written;
+  written_ += written;
+  while (!result_ends_.empty() && result_ends_.front() <= written_) {
+    result_ends_.pop_front();
+  }
+  if (outbox_begin_ == outbox_.size()) {
+    if (outbox_.capacity() > kOutboxKeepBytes) {
+      mp::Bytes().swap(outbox_);
+    } else {
+      outbox_.clear();
+    }
+    outbox_begin_ = 0;
+  } else if (outbox_begin_ > outbox_.size() / 2) {
+    // A client that reads slowly but steadily never drains the outbox
+    // whole; drop the written prefix so the buffer stays near the backlog.
+    outbox_.erase(outbox_.begin(),
+                  outbox_.begin() + static_cast<std::ptrdiff_t>(outbox_begin_));
+    outbox_begin_ = 0;
+  }
+  watch_locked();
+}
+
+void Server::Session::stop_reading() {
+  std::lock_guard lock(mutex_);
+  reading_ = false;
+  watch_locked();
+}
+
+bool Server::Session::finished() {
+  std::lock_guard lock(mutex_);
+  return !open_ || (!reading_ && outbox_begin_ == outbox_.size());
+}
+
+void Server::Session::close() {
+  std::lock_guard lock(mutex_);
+  if (open_) drop_locked();
+  if (socket.valid()) {
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, socket.fd(), nullptr);
+    socket.close();
+  }
+}
+
+void Server::Session::watch_locked() {
+  const std::uint32_t events =
+      (reading_ ? EPOLLIN : 0u) |
+      (outbox_begin_ < outbox_.size() ? EPOLLOUT : 0u);
+  if (!open_ || events == watched_) return;
+  epoll_event event{};
+  event.events = events;
+  event.data.fd = socket.fd();
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, socket.fd(), &event);
+  watched_ = events;
+}
+
+void Server::Session::drop_locked() {
+  open_ = false;
+  lost_results_.fetch_add(result_ends_.size(), std::memory_order_relaxed);
+  result_ends_.clear();
+  mp::Bytes().swap(outbox_);
+  outbox_begin_ = 0;
+  // Senders now see a closed session; the hangup wakes the owning reader,
+  // which closes the socket.
+  socket.shutdown_both();
 }
 
 Server::Server(ServerConfig config)
@@ -112,6 +236,33 @@ void Server::start() {
   bound_ = net::local_endpoint(listener_, config_.endpoint);
   started_ = std::chrono::steady_clock::now();
 
+  // Two readers wait on the listener; the one that loses the race for a
+  // connection must find accept4 empty, not block in it.
+  ::fcntl(listener_.fd(), F_SETFL,
+          ::fcntl(listener_.fd(), F_GETFL, 0) | O_NONBLOCK);
+  wake_ = net::Socket(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  for (int r = 0; r < kReaders && wake_.valid(); ++r) {
+    net::Socket epoll(::epoll_create1(EPOLL_CLOEXEC));
+    epoll_event event{};
+    event.events = EPOLLIN | EPOLLEXCLUSIVE;
+    event.data.fd = listener_.fd();
+    if (!epoll.valid() ||
+        ::epoll_ctl(epoll.fd(), EPOLL_CTL_ADD, listener_.fd(), &event) != 0) {
+      break;
+    }
+    event.events = EPOLLIN;
+    event.data.fd = wake_.fd();
+    if (::epoll_ctl(epoll.fd(), EPOLL_CTL_ADD, wake_.fd(), &event) != 0) break;
+    reader_epolls_.push_back(std::move(epoll));
+  }
+  if (reader_epolls_.size() != static_cast<std::size_t>(kReaders)) {
+    reader_epolls_.clear();
+    wake_.close();
+    listener_.close();
+    throw net::ConnectionError(
+        "lab server: cannot set up the reader epoll sets");
+  }
+
   // ExecMode::Socket: each worker thread fronts a forked worker *process*
   // (slot w serves thread w), so a crashing or hanging job takes down one
   // process, not the server. Inline keeps the historic in-process shape.
@@ -124,6 +275,8 @@ void Server::start() {
       pool_->start();
     } catch (...) {
       pool_.reset();
+      reader_epolls_.clear();
+      wake_.close();
       listener_.close();
       throw;
     }
@@ -134,22 +287,26 @@ void Server::start() {
   for (int w = 0; w < config_.workers; ++w) {
     workers_.emplace_back([this, w] { worker_loop(w); });
   }
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  readers_.reserve(reader_epolls_.size());
+  for (const net::Socket& epoll : reader_epolls_) {
+    readers_.emplace_back([this, fd = epoll.fd()] { reader_loop(fd); });
+  }
 }
 
 void Server::stop() {
-  if (!running_.exchange(false)) {
-    // Never started (or a second stop): nothing to tear down.
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
+  // Never started (or a second stop): nothing to tear down.
+  if (!running_.exchange(false)) return;
 
-  // 1. No new connections: unblock the accept loop and join it.
+  // 1. No new connections: the readers stop watching the listener.
+  for (const net::Socket& epoll : reader_epolls_) {
+    ::epoll_ctl(epoll.fd(), EPOLL_CTL_DEL, listener_.fd(), nullptr);
+  }
   listener_.shutdown_both();
-  if (accept_thread_.joinable()) accept_thread_.join();
 
   // 2. No new work: close the queue, fail whatever never got a worker with
   // a shutdown Result (the client was promised a terminal frame at Accept).
+  // The readers keep reading meanwhile: Submits that race the drain are
+  // refused at the closed queue with a Shutdown reject.
   queue_.close();
   for (Job& job : queue_.drain()) {
     Result result;
@@ -167,19 +324,15 @@ void Server::stop() {
   // itself outlives stop() so stats() keeps reporting its totals.
   if (pool_) pool_->stop();
 
-  // 3. Sessions: shut every socket down (their readers observe EOF/error
-  // and exit), then wait for the detached readers to drain.
-  {
-    std::unique_lock lock(sessions_mutex_);
-    for (const auto& weak : sessions_) {
-      if (const auto session = weak.lock()) {
-        session->alive.store(false, std::memory_order_release);
-        session->socket.shutdown_both();
-      }
-    }
-    sessions_cv_.wait(lock, [this] { return active_sessions_ == 0; });
-    sessions_.clear();
-  }
+  // 3. Sessions: every reply is queued now. Wake the readers; each stops
+  // reading, flushes its sessions' outboxes (within kStopFlushBudget),
+  // closes them and exits.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t woke = ::write(wake_.fd(), &one, sizeof one);
+  for (std::thread& reader : readers_) reader.join();
+  readers_.clear();
+  reader_epolls_.clear();
+  wake_.close();
 
   listener_.close();
   if (config_.endpoint.kind == net::Endpoint::Kind::Unix &&
@@ -221,98 +374,139 @@ double Server::now_minutes() const {
       .count();
 }
 
-void Server::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    net::Socket accepted;
-    try {
-      accepted = net::accept_for(
-          listener_, std::chrono::milliseconds(config_.accept_poll_ms),
-          "lab server accept");
-    } catch (const Error&) {
-      continue;  // poll timeout, or the listener was shut down by stop()
+void Server::reader_loop(int epoll_fd) {
+  std::unordered_map<int, std::shared_ptr<Session>> sessions;
+  mp::Bytes body;  // reused for every frame this reader dispatches
+  std::array<epoll_event, 64> ready;
+  bool closing = false;
+  std::chrono::steady_clock::time_point deadline;
+  while (!closing || !sessions.empty()) {
+    int timeout_ms = -1;
+    if (closing) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) break;
+      timeout_ms = static_cast<int>(left.count());
     }
-    auto session = std::make_shared<Session>();
-    session->socket = std::move(accepted);
-    stats_.sessions.fetch_add(1, std::memory_order_relaxed);
-    trace::Counter("lab.sessions").add(1.0);
-    {
-      std::lock_guard lock(sessions_mutex_);
-      // Prune entries whose sessions are fully gone so a long-lived server
-      // does not accumulate one weak_ptr per historical connection.
-      std::erase_if(sessions_,
-                    [](const std::weak_ptr<Session>& weak) {
-                      return weak.expired();
-                    });
-      sessions_.push_back(session);
-      ++active_sessions_;
+    const int n = ::epoll_wait(epoll_fd, ready.data(),
+                               static_cast<int>(ready.size()), timeout_ms);
+    for (int i = 0; i < n; ++i) {
+      const int fd = ready[static_cast<std::size_t>(i)].data.fd;
+      const std::uint32_t events = ready[static_cast<std::size_t>(i)].events;
+      if (fd == listener_.fd()) {
+        accept_one(epoll_fd, sessions);
+        continue;
+      }
+      if (fd == wake_.fd()) {
+        // stop(): read no more frames, flush what is owed, then close.
+        ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+        closing = true;
+        deadline = std::chrono::steady_clock::now() + kStopFlushBudget;
+        std::erase_if(sessions, [](const auto& entry) {
+          entry.second->stop_reading();
+          if (!entry.second->finished()) return false;
+          entry.second->close();
+          return true;
+        });
+        continue;
+      }
+      const auto it = sessions.find(fd);
+      if (it == sessions.end()) continue;
+      const std::shared_ptr<Session>& session = it->second;
+      if ((events & EPOLLOUT) != 0) session->flush();
+      if (session->reading() &&
+          (events & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
+        serve(session, body);
+      } else if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+        session->close();  // the peer left while owed replies
+      }
+      if (session->finished()) {
+        session->close();
+        sessions.erase(it);
+      }
     }
-    std::thread([this, session] { session_loop(session); }).detach();
   }
+  // Past the flush budget: what is still unsent is lost.
+  for (const auto& entry : sessions) entry.second->close();
 }
 
-void Server::session_loop(const std::shared_ptr<Session>& session) {
+void Server::accept_one(
+    int epoll_fd, std::unordered_map<int, std::shared_ptr<Session>>& sessions) {
+  net::Socket accepted = net::accept_now(listener_, config_.endpoint.kind);
+  if (!accepted.valid()) return;  // the other reader took it, or stop()
+  const int fd = accepted.fd();
+  auto session = std::make_shared<Session>(std::move(accepted), epoll_fd,
+                                           stats_.lost_results);
+  epoll_event event{};
+  event.events = EPOLLIN;
+  event.data.fd = fd;
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) return;
+  sessions.emplace(fd, std::move(session));
+  stats_.sessions.fetch_add(1, std::memory_order_relaxed);
+  trace::Counter("lab.sessions").add(1.0);
+}
+
+void Server::serve(const std::shared_ptr<Session>& session, mp::Bytes& body) {
   // Admission decisions (the "lab.admit" checkpoint) draw from the lab's
-  // admission chaos lane, not lane 0 — which belongs to mp rank 0.
-  chaos::ActorScope actor(chaos::kLabAdmitActor);
+  // admission chaos lane, not lane 0 — which belongs to mp rank 0. Each
+  // connection keeps its own stream across the reads that carry its frames.
+  chaos::ActorScope lane(chaos::kLabAdmitActor, session->admit_lane);
   try {
+    if (!session->inbox.fill(session->socket, "lab server")) {
+      // The client left: between frames without a Bye, or mid-frame (a
+      // mid-submit disconnect). Drop it quietly.
+      session->close();
+      return;
+    }
     wire::Header header;
-    mp::Bytes body;
-    // Note: no `running_` in this condition. A stopping server still owes
-    // queued jobs their terminal Results over this socket; the reader must
-    // keep the session alive until stop()'s session-shutdown phase (or the
-    // client's own EOF/Bye) unblocks the recv below. Submits that race the
-    // drain are refused at the closed queue with a Shutdown reject.
-    bool open = true;
-    while (open && session->alive.load(std::memory_order_acquire)) {
-      if (!net::recv_frame(session->socket, &header, &body, "lab server")) {
-        break;  // clean EOF between frames: client left without a Bye
-      }
-      switch (header.kind) {
-        case wire::FrameKind::Submit: {
-          stats_.submits.fetch_add(1, std::memory_order_relaxed);
-          trace::Counter("lab.submits").add(1.0);
-          admit(session, protocol::decode_submit(body));
-          break;
-        }
-        case wire::FrameKind::Status: {
-          const protocol::Status query = protocol::decode_status(body);
-          protocol::Status reply;
-          reply.job_id = query.job_id;
-          reply.state = job_state(query.job_id);
-          reply.queue_depth = static_cast<std::uint32_t>(queue_.depth());
-          session->send(protocol::encode_status(reply));
-          break;
-        }
-        case wire::FrameKind::Cancel: {
-          handle_cancel(session, protocol::decode_cancel(body));
-          break;
-        }
-        case wire::FrameKind::Report: {
-          handle_report(session, protocol::decode_report(body));
-          break;
-        }
-        case wire::FrameKind::Bye:
-          open = false;  // clean goodbye
-          break;
-        default:
-          throw net::ProtocolError(
-              "lab server: unexpected frame kind " +
-              std::to_string(static_cast<int>(header.kind)) +
-              " on a client connection");
+    while (session->inbox.next(&header, &body)) {
+      if (!dispatch(session, header, body)) {
+        session->stop_reading();  // clean goodbye
+        return;
       }
     }
   } catch (const net::ProtocolError& error) {
     // A hostile or confused client: answer with the reason (best effort)
-    // and drop the connection; the server itself keeps serving.
+    // and drop the connection once that is out; the server keeps serving.
     reject(session, RejectCode::BadRequest, error.what());
+    session->stop_reading();
   } catch (const Error&) {
-    // PeerLost (mid-submit disconnect) or a send failure: drop quietly.
+    session->close();  // PeerLost: the connection broke
   }
-  session->alive.store(false, std::memory_order_release);
-  session->socket.shutdown_both();
-  std::lock_guard lock(sessions_mutex_);
-  --active_sessions_;
-  sessions_cv_.notify_all();
+}
+
+bool Server::dispatch(const std::shared_ptr<Session>& session,
+                      const wire::Header& header, const mp::Bytes& body) {
+  switch (header.kind) {
+    case wire::FrameKind::Submit: {
+      stats_.submits.fetch_add(1, std::memory_order_relaxed);
+      trace::Counter("lab.submits").add(1.0);
+      admit(session, protocol::decode_submit(body));
+      return true;
+    }
+    case wire::FrameKind::Status: {
+      const protocol::Status query = protocol::decode_status(body);
+      protocol::Status reply;
+      reply.job_id = query.job_id;
+      reply.state = job_state(query.job_id);
+      reply.queue_depth = static_cast<std::uint32_t>(queue_.depth());
+      session->send(protocol::encode_status(reply));
+      return true;
+    }
+    case wire::FrameKind::Cancel:
+      handle_cancel(session, protocol::decode_cancel(body));
+      return true;
+    case wire::FrameKind::Report:
+      handle_report(session, protocol::decode_report(body));
+      return true;
+    case wire::FrameKind::Bye:
+      return false;
+    default:
+      throw net::ProtocolError(
+          "lab server: unexpected frame kind " +
+          std::to_string(static_cast<int>(header.kind)) +
+          " on a client connection");
+  }
 }
 
 void Server::admit(const std::shared_ptr<Session>& session, Submit submit) {
@@ -378,9 +572,11 @@ void Server::admit(const std::shared_ptr<Session>& session, Submit submit) {
     protocol::Accept accept;
     accept.job_id = job_id;
     accept.queue_position = 0;
-    if (session->send(protocol::encode_accept(accept))) {
-      session->send(protocol::encode_result(*cached));
-    }
+    // Accept and Result leave together: one buffer, one send.
+    mp::Bytes frames = protocol::encode_accept(accept);
+    const mp::Bytes result = protocol::encode_result(*cached);
+    frames.insert(frames.end(), result.begin(), result.end());
+    session->send(frames, /*ends_in_result=*/true);
     return;
   }
 
@@ -567,7 +763,8 @@ void Server::finish_job(const std::shared_ptr<Session>& session,
   // between the two costs the client a frame (a retry re-submits into the
   // warm cache), never a journaled record.
   journal(digest, submit, result);
-  if (!session->send(protocol::encode_result(result))) {
+  if (!session->send(protocol::encode_result(result),
+                     /*ends_in_result=*/true)) {
     stats_.lost_results.fetch_add(1, std::memory_order_relaxed);
   }
 }

@@ -2,8 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "chaos/chaos.hpp"
 #include "lab/cache.hpp"
 #include "lab/executor.hpp"
 #include "lab/queue.hpp"
@@ -68,9 +69,6 @@ struct ServerConfig {
   /// prove lockout expiry without sleeping.
   std::function<double()> now_minutes;
 
-  /// How often the accept loop wakes to notice stop() (ms).
-  int accept_poll_ms = 200;
-
   /// Persistence. `store.dir` empty = the historic in-memory-only shape.
   /// With a store: start() recovers it and warms the result cache with
   /// every cacheable recovered record (warm start ≈ pre-restart hit rate);
@@ -103,8 +101,18 @@ struct ServerStats {
 /// frames through token auth + firewall + quota, schedules admitted jobs on
 /// a weighted fair queue feeding a bounded worker fleet, serves identical
 /// submissions from the LRU result cache, and streams Accept/Status/Result/
-/// Reject frames back. One reader thread per connection, `workers` worker
-/// threads, one accept thread; stop() tears all of it down deterministically.
+/// Reject frames back.
+///
+/// Threads: `workers` worker threads and kReaders reader threads, however
+/// many clients connect. Each reader owns an epoll set holding the shared
+/// listener (EPOLLEXCLUSIVE: one reader takes each new connection) and the
+/// sessions it accepted. A ready session gets one non-blocking read; every
+/// complete frame in it is handled on the reader (admission, cache hits,
+/// Status, Cancel, Report) and a partial frame waits in the session's
+/// buffer. No reply blocks a thread: bytes the socket does not take wait in
+/// the session's outbox until its reader sees the socket writable, and a
+/// client whose outbox passes kOutboxCapBytes is dropped. stop() tears all
+/// of it down deterministically.
 class Server {
  public:
   explicit Server(ServerConfig config);
@@ -138,20 +146,83 @@ class Server {
   [[nodiscard]] store::Store* store() noexcept { return store_.get(); }
 
  private:
-  /// One client connection. Workers and the reader both write frames, so
-  /// sends serialize on `send_mutex`; `alive` flips once the socket dies.
-  struct Session {
-    net::Socket socket;
-    std::mutex send_mutex;
-    std::atomic<bool> alive{true};
+  /// Reader threads. Fixed, not configurable: two keep up with class-replay
+  /// (~70k frames/s plus ~23k accepts/s on 4 vCPUs) and the count does not
+  /// grow with connections.
+  static constexpr int kReaders = 2;
+  /// Unsent reply bytes a session may hold. Above one largest frame (a
+  /// Result is at most wire::kMaxControlBodyBytes); a client that stops
+  /// reading for longer is dropped and its undelivered Results are lost.
+  static constexpr std::size_t kOutboxCapBytes = 4u << 20;
 
-    /// Serialized best-effort send; returns false (and marks dead) when
-    /// the client is gone.
-    bool send(const mp::Bytes& frame);
+  /// One client connection, owned by the reader that accepted it. Workers
+  /// and the reader both send; sends serialize on `mutex_`. Only the owning
+  /// reader reads, flushes on EPOLLOUT, and closes.
+  class Session {
+   public:
+    Session(net::Socket socket, int epoll_fd,
+            std::atomic<std::uint64_t>& lost_results);
+
+    /// Queue one or more whole frames for the client without blocking: a
+    /// non-blocking send, and what the socket does not take waits in the
+    /// outbox for the reader to flush. Returns false (`frames` will not
+    /// arrive whole) when the session is closed, or when the outbox would
+    /// pass kOutboxCapBytes: then the client is dropped and the Results
+    /// still in its outbox count as lost. `ends_in_result`: the last frame
+    /// is a Result, to be counted so if it never reaches the socket.
+    bool send(const mp::Bytes& frames, bool ends_in_result = false);
+
+    // ---- the owning reader only ----------------------------------------
+    /// EPOLLOUT: write what the outbox holds.
+    void flush();
+    /// Read no more frames; the session closes once its outbox drains.
+    void stop_reading();
+    [[nodiscard]] bool reading() const noexcept { return reading_; }
+    /// Closed, or done reading with nothing left to send.
+    [[nodiscard]] bool finished();
+    /// Close the socket; Results still in the outbox count as lost.
+    void close();
+
+    net::Socket socket;
+    /// Buffered bytes of the next frame(s).
+    net::FrameReader inbox;
+    /// This connection's admission decision stream on
+    /// chaos::kLabAdmitActor, carried across the frames it sends.
+    chaos::ActorScope::Cursor admit_lane;
+
+   private:
+    /// Write from `data` until done or EAGAIN, adding to `*written`;
+    /// false when the peer is gone.
+    bool write_some(const std::byte* data, std::size_t n,
+                    std::size_t* written);
+    /// Point the reader's epoll interest at what the session waits for.
+    void watch_locked();
+    void drop_locked();
+
+    const int epoll_fd_;
+    std::atomic<std::uint64_t>& lost_results_;
+    std::mutex mutex_;
+    bool open_ = true;
+    bool reading_ = true;  ///< written by the reader, under mutex_
+    std::uint32_t watched_ = 0;  ///< current epoll event mask
+    mp::Bytes outbox_;
+    std::size_t outbox_begin_ = 0;
+    /// Stream offsets: bytes handed to send() and bytes written so far.
+    std::uint64_t queued_ = 0;
+    std::uint64_t written_ = 0;
+    /// Stream offsets where each undelivered Result frame ends.
+    std::deque<std::uint64_t> result_ends_;
   };
 
-  void accept_loop();
-  void session_loop(const std::shared_ptr<Session>& session);
+  void reader_loop(int epoll_fd);
+  /// Accept one pending connection into this reader's epoll set.
+  void accept_one(int epoll_fd,
+                  std::unordered_map<int, std::shared_ptr<Session>>& sessions);
+  /// One read from a ready session, then every complete frame in it.
+  void serve(const std::shared_ptr<Session>& session, mp::Bytes& body);
+  /// Handle one client frame; false once the client said Bye.
+  bool dispatch(const std::shared_ptr<Session>& session,
+                const wire::Header& header, const mp::Bytes& body);
   void worker_loop(int worker_index);
 
   /// Admission: everything between a decoded Submit and an Accept/Reject
@@ -198,15 +269,12 @@ class Server {
   std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point started_{};
 
-  std::thread accept_thread_;
   std::vector<std::thread> workers_;
-
-  /// Detached session readers: stop() shuts each socket down, then waits
-  /// for `active_sessions_` to reach zero before tearing down the rest.
-  mutable std::mutex sessions_mutex_;
-  std::condition_variable sessions_cv_;
-  std::vector<std::weak_ptr<Session>> sessions_;
-  std::size_t active_sessions_ = 0;
+  /// One epoll set per reader, and the eventfd stop() uses to tell the
+  /// readers to flush and close their sessions.
+  std::vector<net::Socket> reader_epolls_;
+  std::vector<std::thread> readers_;
+  net::Socket wake_;
 
   std::atomic<std::uint64_t> next_job_id_{1};
 

@@ -179,6 +179,16 @@ Socket accept_for(Socket& listener, std::chrono::milliseconds timeout,
   return sock;
 }
 
+Socket accept_now(Socket& listener, Endpoint::Kind kind) {
+  Socket sock(::accept4(listener.fd(), nullptr, nullptr,
+                        SOCK_NONBLOCK | SOCK_CLOEXEC));
+  if (sock.valid() && kind == Endpoint::Kind::Tcp) {
+    const int one = 1;
+    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+  }
+  return sock;
+}
+
 namespace {
 
 /// splitmix64 — the standard 64-bit finalizer; a pure, high-quality hash of
@@ -408,6 +418,91 @@ bool recv_frame_for(Socket& socket, wire::Header* header, mp::Bytes* body,
         return recv_exact_for(socket, out, n, timeout, who);
       },
       who);
+}
+
+namespace {
+/// The least room a fill() offers a recv: enough for a burst of small lab
+/// frames, small enough that an idle connection holds little.
+constexpr std::size_t kReadChunk = 4096;
+/// A buffer grown past this for one large frame is released once drained.
+constexpr std::size_t kKeepBytes = 64 * 1024;
+}  // namespace
+
+bool FrameReader::fill(Socket& socket, const char* who) {
+  if (begin_ == end_) {
+    begin_ = end_ = 0;
+    if (capacity_ > kKeepBytes) {
+      buffer_.reset();
+      capacity_ = 0;
+    }
+  }
+  // Room for the rest of the frame at begin_ (its header, already
+  // clamp-checked by next(), gives the size), or at least one chunk.
+  const std::size_t buffered = end_ - begin_;
+  const std::size_t need = std::max<std::size_t>(
+      pending_ ? wire::kHeaderBytes + pending_->body_len : 0, kReadChunk);
+  if (capacity_ - begin_ < need || end_ == capacity_) {
+    if (capacity_ < need) {
+      auto grown = std::make_unique_for_overwrite<std::byte[]>(need);
+      if (buffered > 0) {
+        std::memcpy(grown.get(), buffer_.get() + begin_, buffered);
+      }
+      buffer_ = std::move(grown);
+      capacity_ = need;
+    } else if (buffered > 0) {
+      std::memmove(buffer_.get(), buffer_.get() + begin_, buffered);
+    }
+    begin_ = 0;
+    end_ = buffered;
+  }
+  for (;;) {
+    const ssize_t rc = ::recv(socket.fd(), buffer_.get() + end_,
+                              capacity_ - end_, MSG_DONTWAIT);
+    if (rc > 0) {
+      end_ += static_cast<std::size_t>(rc);
+      return true;
+    }
+    if (rc == 0) return false;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    throw PeerLost(std::string(who) + ": recv failed: " + errno_text());
+  }
+}
+
+bool FrameReader::next(wire::Header* header, mp::Bytes* body) {
+  const std::size_t buffered = end_ - begin_;
+  if (!pending_) {
+    if (buffered < wire::kHeaderBytes) return false;
+    std::byte raw[wire::kHeaderBytes];
+    std::memcpy(raw, buffer_.get() + begin_, wire::kHeaderBytes);
+    pending_ = wire::decode_header(raw);  // validates magic/version/clamps
+  }
+  const std::size_t frame = wire::kHeaderBytes + pending_->body_len;
+  if (buffered < frame) return false;
+  const std::byte* first = buffer_.get() + begin_ + wire::kHeaderBytes;
+  body->assign(first, first + pending_->body_len);
+  *header = *pending_;
+  begin_ += frame;
+  pending_.reset();
+  return true;
+}
+
+bool FrameReader::next_for(Socket& socket, wire::Header* header,
+                           mp::Bytes* body, std::chrono::milliseconds timeout,
+                           const char* who) {
+  while (!next(header, body)) {
+    if (!poll_one(socket.fd(), POLLIN, timeout)) {
+      throw ConnectionError(std::string(who) + ": read timed out (" +
+                            std::to_string(end_ - begin_) +
+                            " bytes of a frame after " +
+                            std::to_string(timeout.count()) + "ms)");
+    }
+    if (fill(socket, who)) continue;
+    if (!mid_frame()) return false;  // clean EOF at a frame boundary
+    throw PeerLost(std::string(who) + ": peer disconnected mid-message (" +
+                   std::to_string(end_ - begin_) + " bytes of a frame read)");
+  }
+  return true;
 }
 
 }  // namespace pdc::net

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <chrono>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "mp/message.hpp"
@@ -63,6 +65,11 @@ Endpoint local_endpoint(const Socket& listener, const Endpoint& requested);
 Socket accept_for(Socket& listener, std::chrono::milliseconds timeout,
                   const char* who);
 
+/// Accept one pending connection without waiting, from a non-blocking
+/// listener. The socket it returns is non-blocking, with Nagle off for TCP;
+/// an invalid Socket means none was pending (or the listener is shut).
+Socket accept_now(Socket& listener, Endpoint::Kind kind);
+
 /// The sleep before dial attempt `attempt` (1-based: attempt 1 is the first
 /// retry). True exponential backoff with a cap plus deterministic jitter:
 ///
@@ -121,5 +128,41 @@ bool recv_frame(Socket& socket, wire::Header* header, mp::Bytes* body,
 /// ConnectionError on timeout.
 bool recv_frame_for(Socket& socket, wire::Header* header, mp::Bytes* body,
                     std::chrono::milliseconds timeout, const char* who);
+
+/// Incremental frame reader over one connection: fill() makes one
+/// non-blocking recv of whatever bytes are there, next() cuts the complete
+/// frames out of them. A peer that coalesces frames costs one read, and a
+/// partial frame stays buffered until the rest arrives. The header clamps
+/// (wire::decode_header) apply as soon as a header is complete, before the
+/// buffer grows to hold its body.
+class FrameReader {
+ public:
+  /// One recv (MSG_DONTWAIT) into the buffer of whatever bytes are ready,
+  /// perhaps none. False on an orderly close; throws PeerLost on a socket
+  /// error.
+  bool fill(Socket& socket, const char* who);
+
+  /// Take the next complete frame out of the buffer; false when none is
+  /// buffered whole. Throws ProtocolError on a bad header.
+  bool next(wire::Header* header, mp::Bytes* body);
+
+  /// The next frame, waiting up to `timeout` per poll() for its bytes: one
+  /// poll and one recv per batch the peer sent. Returns false on a clean EOF
+  /// between frames; throws PeerLost on an EOF mid-frame, ConnectionError
+  /// on the deadline, ProtocolError on a bad header.
+  bool next_for(Socket& socket, wire::Header* header, mp::Bytes* body,
+                std::chrono::milliseconds timeout, const char* who);
+
+  /// True while part of a frame is buffered (an EOF now is mid-message).
+  [[nodiscard]] bool mid_frame() const noexcept { return end_ > begin_; }
+
+ private:
+  std::unique_ptr<std::byte[]> buffer_;
+  std::size_t capacity_ = 0;
+  std::size_t begin_ = 0;  ///< first unconsumed byte
+  std::size_t end_ = 0;    ///< one past the last received byte
+  /// The decoded header of the frame at begin_ once it is complete.
+  std::optional<wire::Header> pending_;
+};
 
 }  // namespace pdc::net

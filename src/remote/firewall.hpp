@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 
@@ -15,6 +17,13 @@ namespace pdc::remote {
 /// separate, unfirewalled gateway) kept working.
 class Firewall {
  public:
+  /// Most clients the table tracks. Failures arrive before authentication,
+  /// so a flood of bad tokens under ever-new names must not grow it: making
+  /// room evicts lapsed blocks first, then the clients whose last failure
+  /// is oldest, and never an active block. A new name that finds the table
+  /// full of active blocks goes untracked.
+  static constexpr std::size_t kMaxClients = 4096;
+
   struct Policy {
     int max_failures = 3;          ///< failures before the client is blocked
     double lockout_minutes = 30.0; ///< how long a block lasts
@@ -26,7 +35,7 @@ class Firewall {
   /// Returns true if the client is now blocked.
   bool record_failure(const std::string& client, double now_minutes);
 
-  /// Record a successful authentication: resets the failure counter
+  /// Record a successful authentication: forgets the failure counter
   /// (an existing active block is NOT lifted — the learner's correct
   /// password no longer helps, which is what made the incident confusing).
   void record_success(const std::string& client);
@@ -42,16 +51,25 @@ class Firewall {
   /// Consecutive failures currently recorded for `client`.
   [[nodiscard]] int failures(const std::string& client) const;
 
+  /// Clients the table holds now (at most kMaxClients).
+  [[nodiscard]] std::size_t tracked() const noexcept { return clients_.size(); }
+
   [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
 
  private:
   struct ClientState {
     int failures = 0;
     double blocked_until = -1.0;  ///< minute the block lapses; < 0 = none
+    std::uint64_t last_failure = 0;  ///< failure_clock_ at the latest one
   };
+
+  /// Bring the table to 7/8 of kMaxClients where evictable entries allow,
+  /// so a flood pays one sweep per kMaxClients/8 new names.
+  void make_room(double now_minutes);
 
   Policy policy_;
   mutable std::map<std::string, ClientState> clients_;
+  std::uint64_t failure_clock_ = 0;
 };
 
 }  // namespace pdc::remote

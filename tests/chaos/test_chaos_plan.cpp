@@ -87,6 +87,36 @@ TEST(ChaosPlan, NestedLaneOnAnotherPlanDoesNotRestartTheOuterLane) {
   EXPECT_EQ(inner_plan.fault_count(), 2u);
 }
 
+TEST(ChaosPlan, CursorKeepsEachInterleavedStreamItsOwn) {
+  // The lab reader's shape: one thread serves two sessions in turn on one
+  // lane; each session's decisions count from op 0 and carry on across
+  // its scopes, as if it had a thread of its own.
+  Config config;
+  config.seed = 5;
+  config.delay_probability = 1.0;
+  config.max_delay_us = 1;
+  Plan plan(config);
+  BoundScope bound(plan);
+  ActorScope::Cursor a;
+  ActorScope::Cursor b;
+  for (int round = 0; round < 2; ++round) {
+    {
+      ActorScope lane(kLabAdmitActor, a);
+      (void)plan.perturb_delivery("lab.admit");
+    }
+    {
+      ActorScope lane(kLabAdmitActor, b);
+      (void)plan.perturb_delivery("lab.admit");
+      (void)plan.perturb_delivery("lab.admit");
+    }
+  }
+  std::vector<std::uint64_t> seqs;
+  for (const InjectedFault& fault : plan.faults()) seqs.push_back(fault.seq);
+  EXPECT_EQ(seqs, (std::vector<std::uint64_t>{0, 0, 1, 1, 2, 3}));
+  EXPECT_EQ(a.ops, 2u);
+  EXPECT_EQ(b.ops, 4u);
+}
+
 TEST(ChaosPlan, FaultKindNames) {
   EXPECT_STREQ(fault_kind_name(FaultKind::Delay), "delay");
   EXPECT_STREQ(fault_kind_name(FaultKind::Reorder), "reorder");

@@ -9,9 +9,13 @@
 # so such ids change from one run or build to the next and every comparison
 # of test lists counts them as removed and re-added.
 #
-# Fails when a binary's two listings differ, or when a test name (the id
-# ctest registers, less any trailing `# GetParam() = ...` comment gtest keeps
-# after a generated name) contains a raw-bytes dump.
+# A parameter printed after a generated name (`Name/unix  # GetParam() = V`)
+# stays in the id whole, comment and all, because only a numeric index is
+# replaced.
+#
+# Fails when a binary's two listings differ, or when a registered id (built
+# the way gtest_discover_tests builds it) contains a raw-bytes dump or a
+# `# GetParam()` comment.
 
 if(NOT BINARIES)
   message(FATAL_ERROR "check_test_names: pass -DBINARIES=\"a|b|...\"")
@@ -49,28 +53,30 @@ foreach(binary IN LISTS binaries)
     if(NOT line MATCHES "^  ")
       continue()  # a suite line
     endif()
-    # The printed value replaces a numeric index in the ctest id ...
-    set(test_name "")
-    if(line MATCHES "/[0-9]+ +# GetParam\\(\\) = (.*)$")
-      set(test_name "${CMAKE_MATCH_1}")
+    # The id ctest registers: the printed value replaces a numeric index;
+    # after any other name the comment stays.
+    string(STRIP "${line}" test_id)
+    string(REGEX REPLACE "/[0-9]+[ #]+GetParam\\(\\) = " "/" test_id
+      "${test_id}")
+    set(problem "")
+    if(test_id MATCHES "byte object")
+      set(problem "is a raw-bytes dump of its parameter")
+    elseif(test_id MATCHES "# GetParam\\(\\)")
+      set(problem "keeps its parameter as a `# GetParam()` comment")
     endif()
-    # ... and is a trailing comment after any other name.
-    string(REGEX REPLACE " +#.*" "" head "${line}")
-    string(APPEND test_name " ${head}")
-    if(test_name MATCHES "byte object")
-      string(REPLACE "<osb>" "[" line "${line}")
-      string(REPLACE "<csb>" "]" line "${line}")
-      string(REPLACE "<sc>" ";" line "${line}")
-      string(STRIP "${line}" line)
-      string(APPEND problems
-        "${name}: test name is a raw-bytes dump of its parameter: ${line}\n")
+    if(problem)
+      string(REPLACE "<osb>" "[" test_id "${test_id}")
+      string(REPLACE "<csb>" "]" test_id "${test_id}")
+      string(REPLACE "<sc>" ";" test_id "${test_id}")
+      string(APPEND problems "${name}: test id ${problem}: ${test_id}\n")
     endif()
   endforeach()
 endforeach()
 
 if(problems)
   message(FATAL_ERROR "check_test_names: unstable test names\n${problems}"
-    "Give the parameter type a PrintTo (see tests/smp/test_schedules.cpp).")
+    "Give the parameter type a PrintTo instead of a name generator (see "
+    "tests/smp/test_schedules.cpp).")
 endif()
 list(LENGTH binaries count)
 message(STATUS "check_test_names: ${count} test binaries list stable names")

@@ -5,11 +5,13 @@
 // Server on a unix (or TCP) endpoint and speaks PDCN frames to it.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -612,6 +614,163 @@ TEST(LabServer, StopIsIdempotentAndUnlinksTheSocketPath) {
   server.stop();
   server.stop();
   EXPECT_NE(::access(path.c_str(), F_OK), 0);
+}
+
+// ---- the front end: fixed reader threads, replies that never block --------
+
+/// Entries under a /proc/self directory: the process's threads ("task") or
+/// its open file descriptors ("fd").
+std::size_t proc_entries(const char* dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+net::Socket raw_connection(const net::Endpoint& endpoint) {
+  return net::dial(endpoint, 10, std::chrono::milliseconds(1000),
+                   std::chrono::milliseconds(1), "raw");
+}
+
+TEST(LabServer, IdleConnectionsAddNoServerThreads) {
+  Server server(test_config());
+  server.start();
+  const std::size_t threads = proc_entries("/proc/self/task");
+
+  std::vector<std::unique_ptr<Client>> idle;
+  for (int i = 0; i < 64; ++i) {
+    idle.push_back(std::make_unique<Client>(client_config(server.endpoint())));
+    // A Status round trip: the server has accepted this connection.
+    EXPECT_EQ(idle.back()->query_status(999999).state, JobState::Unknown);
+  }
+  EXPECT_EQ(proc_entries("/proc/self/task"), threads);
+  EXPECT_EQ(server.stats().sessions, 64u);
+  server.stop();
+}
+
+TEST(LabServer, StalledPartialFramesDoNotDelayOtherClients) {
+  Server server(test_config());
+  server.start();
+  {
+    Client warm(client_config(server.endpoint()));
+    ASSERT_EQ(run_job(warm, pi_submit()).exit_code, 0);  // now cached
+  }
+
+  // Half a header, or a whole header and half its body, then silence.
+  // Several of each, so both readers hold some.
+  const mp::Bytes submit = protocol::encode_submit(pi_submit());
+  std::vector<net::Socket> stalled;
+  for (int i = 0; i < 8; ++i) {
+    const std::size_t cut =
+        i % 2 == 0
+            ? wire::kHeaderBytes / 2
+            : wire::kHeaderBytes + (submit.size() - wire::kHeaderBytes) / 2;
+    stalled.push_back(raw_connection(server.endpoint()));
+    net::send_all(stalled.back(),
+                  mp::Bytes(submit.begin(),
+                            submit.begin() + static_cast<std::ptrdiff_t>(cut)),
+                  nullptr, false, "staller");
+  }
+
+  for (int j = 0; j < 20; ++j) {
+    const auto start = std::chrono::steady_clock::now();
+    Client client(client_config(server.endpoint()));
+    const protocol::Result result = run_job(client, pi_submit());
+    EXPECT_TRUE(result.cached);
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2))
+        << "job " << j << " waited behind a stalled partial frame";
+  }
+  server.stop();
+}
+
+TEST(LabServer, ClientThatNeverReadsIsDroppedAtTheOutboxCap) {
+  Server server(test_config());
+  server.start();
+  Client student(client_config(server.endpoint()));
+  ASSERT_EQ(run_job(student, pi_submit()).exit_code, 0);
+  // ~100 KiB of output, cached after this first run: every repeat below is
+  // a cache hit whose Result lands in the flooder's outbox.
+  ASSERT_EQ(run_job(student, many_lines_cell()).exit_code, 0);
+
+  net::Socket flood = raw_connection(server.endpoint());
+  const mp::Bytes submit = protocol::encode_submit(many_lines_cell());
+  bool dropped = false;
+  int sent = 0;
+  for (; sent < 2000 && !dropped; ++sent) {
+    try {
+      net::send_all(flood, submit, nullptr, false, "flood");
+    } catch (const net::PeerLost&) {
+      dropped = true;
+    }
+    // Another student is served while the flooder's replies pile up.
+    if (sent % 8 == 0) {
+      EXPECT_TRUE(run_job(student, pi_submit()).cached) << "after " << sent;
+    }
+  }
+  EXPECT_TRUE(dropped) << sent << " submits never filled the outbox";
+  EXPECT_GT(server.stats().lost_results, 0u);
+  EXPECT_TRUE(run_job(student, pi_submit()).cached);
+  server.stop();
+}
+
+TEST(LabServer, ThousandsOfShortSessionsLeaveThreadsAndFdsFlat) {
+  Server server(test_config());
+  server.start();
+  {
+    Client warm(client_config(server.endpoint()));
+    ASSERT_EQ(run_job(warm, pi_submit()).exit_code, 0);
+  }
+  const std::size_t threads = proc_entries("/proc/self/task");
+  const std::size_t fds = proc_entries("/proc/self/fd");
+
+  for (int i = 0; i < 10000; ++i) {
+    Client client(client_config(server.endpoint()));
+    ASSERT_TRUE(run_job(client, pi_submit()).cached) << "cycle " << i;
+  }
+  EXPECT_EQ(proc_entries("/proc/self/task"), threads);
+  // A reader closes a session when its Bye arrives; the last few may still
+  // be in flight.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (proc_entries("/proc/self/fd") > fds &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(proc_entries("/proc/self/fd"), fds);
+  EXPECT_EQ(server.stats().sessions, 10001u);
+  server.stop();
+}
+
+TEST(LabServer, ClientSurfacesTypedErrorsFromAHostileServer) {
+  const net::Endpoint endpoint = unique_unix_endpoint();
+  net::Socket listener = net::listen_at(endpoint, 4);
+  ClientConfig config = client_config(endpoint);
+  config.reply_timeout_ms = 200;
+  const auto serve_bytes = [&](const mp::Bytes& bytes, auto&& expect) {
+    Client client(config);
+    net::Socket conn = net::accept_for(
+        listener, std::chrono::milliseconds(5000), "fake server");
+    if (!bytes.empty()) net::send_all(conn, bytes, nullptr, false, "fake");
+    // Bytes then EOF; the client can still send its query.
+    if (!bytes.empty()) ::shutdown(conn.fd(), SHUT_WR);
+    expect(client);
+  };
+  // Garbage where a header belongs.
+  serve_bytes(mp::Bytes(wire::kHeaderBytes, std::byte{0x5a}), [](Client& c) {
+    EXPECT_THROW((void)c.query_status(1), net::ProtocolError);
+  });
+  // A Status frame cut off mid-body, then the connection closes.
+  const mp::Bytes status = protocol::encode_status(protocol::Status{});
+  serve_bytes(mp::Bytes(status.begin(), status.end() - 2), [](Client& c) {
+    EXPECT_THROW((void)c.query_status(1), net::PeerLost);
+  });
+  // Silence past the reply deadline.
+  serve_bytes(mp::Bytes{}, [](Client& c) {
+    EXPECT_THROW((void)c.query_status(1), net::ConnectionError);
+  });
+  ::unlink(endpoint.path.c_str());
 }
 
 // ---- cancellation --------------------------------------------------------

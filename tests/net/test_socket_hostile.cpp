@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <thread>
+#include <vector>
 
 #include "../chaos/chaos_test_util.hpp"
 #include "net/errors.hpp"
@@ -110,6 +111,100 @@ TEST(SocketHostile, HandshakeReadTimesOutAsConnectionError) {
   EXPECT_THROW(recv_frame_for(pair.ours, &header, &body,
                               std::chrono::milliseconds(50), "test"),
                ConnectionError);
+}
+
+// ---- the incremental frame reader ------------------------------------------
+
+TEST(FrameReader, PartialHeaderStaysBufferedUntilTheRestArrives) {
+  Pair pair;
+  const mp::Bytes frame = wire::encode_header(wire::FrameKind::Bye, 0);
+  FrameReader reader;
+  wire::Header header;
+  mp::Bytes body;
+  pair.write_raw(frame.data(), 5);
+  ASSERT_TRUE(reader.fill(pair.ours, "test"));
+  EXPECT_FALSE(reader.next(&header, &body));
+  EXPECT_TRUE(reader.mid_frame());
+  ASSERT_TRUE(reader.fill(pair.ours, "test"));  // nothing ready: no block
+  EXPECT_FALSE(reader.next(&header, &body));
+  pair.write_raw(frame.data() + 5, frame.size() - 5);
+  ASSERT_TRUE(reader.fill(pair.ours, "test"));
+  ASSERT_TRUE(reader.next(&header, &body));
+  EXPECT_EQ(header.kind, wire::FrameKind::Bye);
+  EXPECT_FALSE(reader.mid_frame());
+}
+
+TEST(FrameReader, CoalescedFramesComeOutOfOneRead) {
+  Pair pair;
+  mp::Bytes burst;
+  for (std::uint32_t len : {0u, 3u, 9000u}) {  // the last outgrows a chunk
+    const mp::Bytes head = wire::encode_header(wire::FrameKind::Status, len);
+    burst.insert(burst.end(), head.begin(), head.end());
+    burst.insert(burst.end(), len, std::byte{static_cast<unsigned char>(len)});
+  }
+  pair.write_raw(burst.data(), burst.size());
+  FrameReader reader;
+  wire::Header header;
+  mp::Bytes body;
+  std::vector<std::size_t> sizes;
+  while (sizes.size() < 3) {
+    while (reader.next(&header, &body)) sizes.push_back(body.size());
+    if (sizes.size() < 3) {
+      ASSERT_TRUE(reader.fill(pair.ours, "test"));
+    }
+  }
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{0, 3, 9000}));
+  EXPECT_EQ(body.back(), std::byte{static_cast<unsigned char>(9000u)});
+}
+
+TEST(FrameReader, OversizedLengthIsRejectedAtTheHeader) {
+  Pair pair;
+  mp::Bytes raw;
+  wire::put_u32(raw, wire::kMagic);
+  wire::put_u16(raw, wire::kVersion);
+  wire::put_u16(raw, 6);  // Submit: a control frame, 1 MiB clamp
+  wire::put_u32(raw, 2u << 20);
+  pair.write_raw(raw.data(), raw.size());
+  FrameReader reader;
+  wire::Header header;
+  mp::Bytes body;
+  ASSERT_TRUE(reader.fill(pair.ours, "test"));
+  EXPECT_THROW(reader.next(&header, &body), ProtocolError);
+}
+
+TEST(FrameReader, NextForKeepsTheBlockingReadersErrors) {
+  {
+    Pair pair;  // clean EOF between frames
+    pair.close_theirs();
+    FrameReader reader;
+    wire::Header header;
+    mp::Bytes body;
+    EXPECT_FALSE(reader.next_for(pair.ours, &header, &body,
+                                 std::chrono::milliseconds(1000), "test"));
+  }
+  {
+    Pair pair;  // a frame promising 100 body bytes, delivering 10
+    const mp::Bytes head = wire::encode_header(wire::FrameKind::Data, 100);
+    pair.write_raw(head.data(), head.size());
+    const char partial[10] = {};
+    pair.write_raw(partial, sizeof partial);
+    pair.close_theirs();
+    FrameReader reader;
+    wire::Header header;
+    mp::Bytes body;
+    EXPECT_THROW(reader.next_for(pair.ours, &header, &body,
+                                 std::chrono::milliseconds(1000), "test"),
+                 PeerLost);
+  }
+  {
+    Pair pair;  // silence
+    FrameReader reader;
+    wire::Header header;
+    mp::Bytes body;
+    EXPECT_THROW(reader.next_for(pair.ours, &header, &body,
+                                 std::chrono::milliseconds(50), "test"),
+                 ConnectionError);
+  }
 }
 
 TEST(SocketHostile, EndpointParseRejectsGarbage) {

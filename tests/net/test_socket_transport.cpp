@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,13 @@
 #include "net/harness.hpp"
 
 namespace pdc::net {
+
+/// Names each backend ("unix", "tcp"); ctest takes the test id from this.
+/// Without it gtest prints the enum as raw bytes.
+void PrintTo(Endpoint::Kind kind, std::ostream* os) {
+  *os << (kind == Endpoint::Kind::Unix ? "unix" : "tcp");
+}
+
 namespace {
 
 using chaos_test::kWatchdogBudget;
@@ -28,11 +36,7 @@ class SocketTransportTest : public ::testing::TestWithParam<Endpoint::Kind> {};
 
 INSTANTIATE_TEST_SUITE_P(Backends, SocketTransportTest,
                          ::testing::Values(Endpoint::Kind::Unix,
-                                           Endpoint::Kind::Tcp),
-                         [](const auto& info) {
-                           return info.param == Endpoint::Kind::Unix ? "unix"
-                                                                     : "tcp";
-                         });
+                                           Endpoint::Kind::Tcp));
 
 TEST_P(SocketTransportTest, PointToPointRoundTrip) {
   ASSERT_TRUE(run_with_watchdog(kWatchdogBudget, [&] {

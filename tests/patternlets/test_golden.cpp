@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -114,10 +116,22 @@ void write_golden(const std::string& path,
   }
 }
 
-class GoldenTest : public ::testing::TestWithParam<std::string> {};
+/// One registered patternlet. Its printed name ("mpi_00_spmd": the id
+/// with every non-alphanumeric character replaced by '_') is the ctest id.
+struct GoldenCase {
+  std::string id;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  for (const char ch : c.id) {
+    *os << (std::isalnum(static_cast<unsigned char>(ch)) ? ch : '_');
+  }
+}
+
+class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTest, MatchesCheckedInTranscript) {
-  const std::string& id = GetParam();
+  const std::string& id = GetParam().id;
   const patterns::Patternlet& patternlet = global_registry().at(id);
   const auto transcripts = run_all_sizes(patternlet);
 
@@ -142,25 +156,16 @@ TEST_P(GoldenTest, MatchesCheckedInTranscript) {
   }
 }
 
-std::vector<std::string> all_patternlet_ids() {
-  std::vector<std::string> ids;
+std::vector<GoldenCase> all_patternlets() {
+  std::vector<GoldenCase> cases;
   for (const patterns::Patternlet* p : global_registry().all()) {
-    ids.push_back(p->info().id);
+    cases.push_back({p->info().id});
   }
-  return ids;
-}
-
-std::string test_name(const ::testing::TestParamInfo<std::string>& info) {
-  std::string name = info.param;
-  for (char& c : name) {
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  }
-  return name;
+  return cases;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPatternlets, GoldenTest,
-                         ::testing::ValuesIn(all_patternlet_ids()),
-                         test_name);
+                         ::testing::ValuesIn(all_patternlets()));
 
 }  // namespace
 }  // namespace pdc::patternlets
