@@ -33,6 +33,41 @@ TEST(MonteCarloPi, MoreStreamsSameExpectation) {
   EXPECT_NEAR(a, b, 0.05);
 }
 
+// Golden hit counts captured from the scalar one-stream-at-a-time loop.
+// Every strategy and every code path (four-stream lane groups, leftover
+// streams) must reproduce them exactly: a changed dart loop that moves a
+// single boundary dart shows up here.
+struct PiGolden {
+  int streams;
+  std::uint64_t seed;
+  std::int64_t hits;
+};
+
+TEST(MonteCarloPi, SerialHitsMatchGoldenCounts) {
+  constexpr PiGolden kGolden[] = {
+      {1, 0, 18886},  {1, 7, 18812},  {1, 2021, 18802},
+      {2, 0, 18803},  {2, 7, 18832},  {2, 2021, 18944},
+      {4, 0, 18931},  {4, 7, 18863},  {4, 2021, 19038},
+      {6, 0, 18983},  {6, 7, 18820},  {6, 2021, 19017},
+      {8, 0, 18940},  {8, 7, 18811},  {8, 2021, 18890},
+      {12, 0, 18928}, {12, 7, 18786}, {12, 2021, 18906},
+  };
+  for (const PiGolden& golden : kGolden) {
+    EXPECT_EQ(pi_serial(24000, golden.seed, golden.streams),
+              (PiEstimate{24000, golden.hits}))
+        << "streams " << golden.streams << ", seed " << golden.seed;
+  }
+}
+
+TEST(MonteCarloPi, MpHitsMatchGoldenCounts) {
+  // np 3 with 12 streams: four per rank. np 3 with 10: ranks 1 and 2 hold
+  // three. np 6 with 24: four per rank. np 6 with 36: six per rank.
+  EXPECT_EQ(pi_mp(24000, 11, 12, 3).hits, 18798);
+  EXPECT_EQ(pi_mp(20000, 3, 10, 3).hits, 15709);
+  EXPECT_EQ(pi_mp(48000, 5, 24, 6).hits, 37668);
+  EXPECT_EQ(pi_mp(36000, 9, 36, 6).hits, 28440);
+}
+
 class PiStrategyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PiStrategyTest, SmpIsBitIdenticalToSerial) {

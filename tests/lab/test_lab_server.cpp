@@ -90,6 +90,32 @@ TEST(LabServer, SubmitRunsAndReturnsTheProgramOutput) {
   EXPECT_EQ(result.output, direct.execute(pi_submit()).output);
 }
 
+TEST(LabExecutor, PiOutputMatchesGoldenLines) {
+  // The lab's pi program, captured from the scalar dart loop: the
+  // class-replay assignment (seeds 100..103 at np 2) plus np 4 and np 8.
+  // A cached Result from an older server must keep matching a fresh run.
+  struct Golden {
+    std::uint64_t seed;
+    int np;
+    const char* line;
+  };
+  constexpr Golden kGolden[] = {
+      {100, 2, "pi ~= 3.137695 (12852/16384 darts, seed 100)"},
+      {101, 2, "pi ~= 3.133789 (12836/16384 darts, seed 101)"},
+      {102, 2, "pi ~= 3.147461 (12892/16384 darts, seed 102)"},
+      {103, 2, "pi ~= 3.134277 (12838/16384 darts, seed 103)"},
+      {104, 4, "pi ~= 3.136108 (25691/32768 darts, seed 104)"},
+      {105, 8, "pi ~= 3.142212 (51482/65536 darts, seed 105)"},
+  };
+  const Executor executor;
+  for (const Golden& golden : kGolden) {
+    const protocol::Result result =
+        executor.execute(pi_submit(golden.seed, golden.np));
+    EXPECT_EQ(result.exit_code, 0) << result.error;
+    EXPECT_EQ(result.output, std::vector<std::string>{golden.line});
+  }
+}
+
 TEST(LabServer, IdenticalSubmissionIsServedFromCacheWithoutExecuting) {
   Server server(test_config());
   server.start();
@@ -933,28 +959,27 @@ TEST(LabServer, CancelledJobIsNeverCached) {
 
 TEST(LabServer, CancelOfARunningInlineJobIsRejected) {
   // Inline mode runs jobs on server threads — there is no process to kill,
-  // and the contract is an honest Reject, not a silent no-op. pi jobs are
-  // fast, so race the cancel against a stream of them until one is caught
-  // mid-run (Running but not yet removable) or they all finish (then the
-  // Done-reject path is what we pinned anyway).
+  // and the contract is an honest Reject, not a silent no-op. Each Cancel
+  // is sent once the job has left Queued, so it lands while the job runs
+  // or after it is Done; both must be rejected. (A Cancel of a still-Queued
+  // job succeeds — that path has its own tests — so polling first keeps a
+  // worker that waits for a CPU from turning this into a queued cancel.)
   Server server(test_config());
   server.start();
   Client client(client_config(server.endpoint()));
-  bool saw_reject = false;
-  for (std::uint64_t seed = 500; seed < 520 && !saw_reject; ++seed) {
+  Client side(client_config(server.endpoint()));
+  for (std::uint64_t seed = 500; seed < 520; ++seed) {
     const auto outcome = client.submit(pi_submit(seed));
     ASSERT_TRUE(outcome.accepted());
-    Client side(client_config(server.endpoint()));
-    const auto cancelled =
-        side.cancel(outcome.accept->job_id, "hands-on", "ada");
-    if (!cancelled.cancelled()) {
-      EXPECT_EQ(cancelled.reject->code, RejectCode::BadRequest);
-      saw_reject = true;
-    } else {
-      EXPECT_EQ(client.wait_result(outcome.accept->job_id).exit_code, 130);
+    const std::uint64_t job_id = outcome.accept->job_id;
+    while (side.query_status(job_id).state == JobState::Queued) {
+      std::this_thread::yield();
     }
+    const auto cancelled = side.cancel(job_id, "hands-on", "ada");
+    ASSERT_FALSE(cancelled.cancelled()) << "seed " << seed;
+    EXPECT_EQ(cancelled.reject->code, RejectCode::BadRequest);
+    EXPECT_EQ(client.wait_result(job_id).exit_code, 0);
   }
-  EXPECT_TRUE(saw_reject);
   server.stop();
 }
 
