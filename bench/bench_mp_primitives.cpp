@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the message-passing runtime: p2p
-// latency/throughput and the collectives the mpi4py module teaches.
+// latency/throughput and the collectives the mpi4py module teaches, plus
+// the Monte Carlo pi job the lab server runs most.
 
 #include <benchmark/benchmark.h>
 
@@ -7,6 +8,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "exemplars/montecarlo.hpp"
 #include "mp/ops.hpp"
 #include "mp/runtime.hpp"
 #include "trace/report.hpp"
@@ -248,6 +250,26 @@ void BM_CommSplit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CommSplit);
+
+/// The lab's pi program (src/lab/executor.cpp): 4 streams per rank, 2048
+/// darts per stream, one job per iteration on a fresh seed. At np 1 this
+/// is the dart kernel plus mp::run's fixed cost; larger np adds the
+/// allreduce and spreads the streams over the rank threads.
+void BM_PiRank(benchmark::State& state) {
+  const int procs = static_cast<int>(state.range(0));
+  const int streams = 4 * procs;
+  const std::int64_t darts = 2048 * static_cast<std::int64_t>(streams);
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    mp::run(procs, [&](mp::Communicator& comm) {
+      benchmark::DoNotOptimize(
+          exemplars::pi_rank(comm, darts, seed, streams).hits);
+    });
+    ++seed;
+  }
+  state.SetItemsProcessed(state.iterations() * darts);
+}
+BENCHMARK(BM_PiRank)->Arg(1)->Arg(2)->Arg(4);
 
 }  // namespace
 

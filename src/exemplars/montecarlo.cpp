@@ -35,15 +35,144 @@ std::int64_t throw_stream(std::uint64_t seed, int stream,
   return hits;
 }
 
+// ---- four streams per call ----------------------------------------------
+// Lane layout: lane k of the kernel is stream first + k*stride, and word w
+// of its xoshiro256** state is element k of vector `s[w]`, so one vector
+// operation steps all four generators and throws four darts. The state
+// update is the scalar next() with the multiplications written as shifts
+// and adds (AVX2 has no 64-bit multiply), which is the same arithmetic mod
+// 2^64. Each lane's hit count is therefore the scalar throw_stream's.
+//
+// The kernel is one source compiled twice: for the baseline ISA, where GCC
+// splits each 256-bit vector into two SSE2 halves, and with target "avx2".
+// The build is picked once at load time rather than by compiling the
+// library with -mavx2, so the same binary still runs on a CPU without AVX2.
+// Only "avx2" is enabled, not x86-64-v3 or haswell: those add FMA, and
+// GCC's default -ffp-contract=fast would then fuse x*x + y*y into one
+// rounding and move the darts that land on the circle's edge. Every vector
+// value lives inside throw_lanes, which is always inlined into the two
+// entry points; a helper returning a 32-byte vector compiled outside the
+// AVX2 function would change its ABI (GCC's -Wpsabi warning).
+
+using U64x4 = std::uint64_t __attribute__((vector_size(32)));
+using I64x4 = std::int64_t __attribute__((vector_size(32)));
+using F64x4 = double __attribute__((vector_size(32)));
+
+[[gnu::always_inline]] inline std::int64_t throw_lanes(
+    std::uint64_t seed, int first, int stride,
+    std::int64_t darts_per_stream) {
+  U64x4 s[4];
+  for (int lane = 0; lane < 4; ++lane) {
+    const auto words =
+        Rng::for_stream(seed, static_cast<std::uint64_t>(first + lane * stride))
+            .state();
+    for (int w = 0; w < 4; ++w) s[w][lane] = words[w];
+  }
+  // uniform() returns static_cast<double>(bits) * 2^-53 for the 53 bits
+  // bits = next() >> 11. Without AVX-512 there is no vector u64 -> double
+  // convert, so split bits into hi (its top 21 bits) and lo (its low 32)
+  // and build each part exactly from its bit pattern:
+  //  - hi OR-ed into the mantissa of 2^31 (ulp 2^-21) is 2^31 + hi*2^-21;
+  //  - lo OR-ed into the mantissa of 0.5 (ulp 2^-53) is 0.5 + lo*2^-53.
+  // (2^31 + hi*2^-21) - (2^31 + 0.5) = hi*2^-21 - 0.5 is exact (both
+  // operands share a binade, and 2^31 + 0.5 is a multiple of 2^-21).
+  // Adding 0.5 + lo*2^-53 gives bits * 2^-53, a double, so that rounding
+  // is exact too. It is (hi*2^32 + lo) * 2^-53 with both power-of-two
+  // scalings folded into the exponents, three vector operations fewer.
+  const U64x4 two31_bits = U64x4{} + 0x41e0000000000000ULL;  // 2^31
+  const U64x4 half_bits = U64x4{} + 0x3fe0000000000000ULL;   // 0.5
+  const F64x4 two31_half = F64x4{} + (0x1.0p31 + 0.5);
+  const F64x4 one = F64x4{} + 1.0;
+  I64x4 hits{};
+  for (std::int64_t i = 0; i < darts_per_stream; ++i) {
+    F64x4 coord[2];
+    for (F64x4& c : coord) {
+      const U64x4 times5 = (s[1] << 2) + s[1];
+      const U64x4 rotated = (times5 << 7) | (times5 >> 57);
+      const U64x4 bits = ((rotated << 3) + rotated) >> 11;
+      const U64x4 t = s[1] << 17;
+      s[2] ^= s[0];
+      s[3] ^= s[1];
+      s[1] ^= s[2];
+      s[0] ^= s[3];
+      s[2] ^= t;
+      s[3] = (s[3] << 45) | (s[3] >> 19);
+
+      const F64x4 hi = __builtin_bit_cast(F64x4, (bits >> 32) | two31_bits);
+      const F64x4 lo =
+          __builtin_bit_cast(F64x4, (bits & 0xffffffffULL) | half_bits);
+      c = (hi - two31_half) + lo;
+    }
+    const F64x4 x = coord[0];
+    const F64x4 y = coord[1];
+    hits -= (x * x + y * y <= one);  // a true lane compares as -1
+  }
+  return hits[0] + hits[1] + hits[2] + hits[3];
+}
+
+#if PDCLAB_LANES_X86
+using LaneKernel = std::int64_t (*)(std::uint64_t, int, int, std::int64_t);
+
+LaneKernel select_lane_kernel() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2") ? detail::throw_four_streams_avx2
+                                        : detail::throw_four_streams_baseline;
+}
+
+/// Chosen once, while the program loads; nothing calls the pi kernels from
+/// a static initializer, so it is set before the first dart.
+const LaneKernel kThrowFourStreams = select_lane_kernel();
+#endif
+
+/// Hits scored by streams first, first + stride, ... below num_streams:
+/// whole groups of four through the lane kernel, the rest one at a time.
+std::int64_t throw_strided(std::uint64_t seed, int first, int stride,
+                           int num_streams, std::int64_t darts_per_stream) {
+  std::int64_t hits = 0;
+  int s = first;
+  for (; s + 3 * stride < num_streams; s += 4 * stride) {
+    hits += detail::throw_four_streams(seed, s, stride, darts_per_stream);
+  }
+  for (; s < num_streams; s += stride) {
+    hits += throw_stream(seed, s, darts_per_stream);
+  }
+  return hits;
+}
+
 }  // namespace
+
+namespace detail {
+
+std::int64_t throw_four_streams_baseline(std::uint64_t seed, int first,
+                                         int stride,
+                                         std::int64_t darts_per_stream) {
+  return throw_lanes(seed, first, stride, darts_per_stream);
+}
+
+#if PDCLAB_LANES_X86
+[[gnu::target("avx2")]] std::int64_t throw_four_streams_avx2(
+    std::uint64_t seed, int first, int stride,
+    std::int64_t darts_per_stream) {
+  return throw_lanes(seed, first, stride, darts_per_stream);
+}
+#endif
+
+std::int64_t throw_four_streams(std::uint64_t seed, int first, int stride,
+                                std::int64_t darts_per_stream) {
+#if PDCLAB_LANES_X86
+  return kThrowFourStreams(seed, first, stride, darts_per_stream);
+#else
+  return throw_four_streams_baseline(seed, first, stride, darts_per_stream);
+#endif
+}
+
+}  // namespace detail
 
 PiEstimate pi_serial(std::int64_t darts, std::uint64_t seed, int num_streams) {
   check_args(darts, num_streams);
-  const std::int64_t per_stream = darts / num_streams;
   PiEstimate estimate{darts, 0};
-  for (int s = 0; s < num_streams; ++s) {
-    estimate.hits += throw_stream(seed, s, per_stream);
-  }
+  estimate.hits =
+      throw_strided(seed, 0, 1, num_streams, darts / num_streams);
   return estimate;
 }
 
@@ -71,11 +200,8 @@ PiEstimate pi_smp(std::int64_t darts, std::uint64_t seed, int num_streams,
 PiEstimate pi_rank(mp::Communicator& comm, std::int64_t darts,
                    std::uint64_t seed, int num_streams) {
   check_args(darts, num_streams);
-  const std::int64_t per_stream = darts / num_streams;
-  std::int64_t local_hits = 0;
-  for (int s = comm.rank(); s < num_streams; s += comm.size()) {
-    local_hits += throw_stream(seed, s, per_stream);
-  }
+  const std::int64_t local_hits = throw_strided(
+      seed, comm.rank(), comm.size(), num_streams, darts / num_streams);
   PiEstimate estimate{darts, comm.allreduce(local_hits, mp::ops::Sum{})};
   return estimate;
 }

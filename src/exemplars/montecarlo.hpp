@@ -5,6 +5,14 @@
 #include "mp/communicator.hpp"
 #include "smp/schedule.hpp"
 
+/// x86 builds carry an AVX2 build of the four-stream dart kernel besides
+/// the baseline one (see detail::throw_four_streams).
+#if defined(__x86_64__) || defined(__i386__)
+#define PDCLAB_LANES_X86 1
+#else
+#define PDCLAB_LANES_X86 0
+#endif
+
 namespace pdc::exemplars {
 
 /// The Monte Carlo pi exemplar: throw random darts at the unit square and
@@ -47,5 +55,35 @@ PiEstimate pi_rank(mp::Communicator& comm, std::int64_t darts,
 /// Convenience wrapper launching `num_procs` ranks of pi_rank.
 PiEstimate pi_mp(std::int64_t darts, std::uint64_t seed, int num_streams,
                  int num_procs);
+
+/// The dart kernel behind pi_serial and pi_rank, which throw their streams
+/// four at a time: one xoshiro256** generator per 64-bit lane of 256-bit
+/// vectors, bit-identical to throwing the four streams one after another.
+/// Leftover streams (fewer than four) and pi_smp's one-stream tasks take
+/// the scalar loop. Exposed so tests can hold every build to the scalar
+/// result.
+namespace detail {
+
+/// Hits scored by streams first, first + stride, first + 2*stride and
+/// first + 3*stride of `seed`, each throwing `darts_per_stream` darts. Runs
+/// the build picked once at load time: AVX2 when the CPU has it, else the
+/// baseline-ISA build of the same source.
+std::int64_t throw_four_streams(std::uint64_t seed, int first, int stride,
+                                std::int64_t darts_per_stream);
+
+/// The same kernel compiled for the baseline ISA; runs on any CPU.
+std::int64_t throw_four_streams_baseline(std::uint64_t seed, int first,
+                                         int stride,
+                                         std::int64_t darts_per_stream);
+
+#if PDCLAB_LANES_X86
+/// The same kernel compiled for AVX2. Call only when
+/// __builtin_cpu_supports("avx2") holds.
+std::int64_t throw_four_streams_avx2(std::uint64_t seed, int first,
+                                     int stride,
+                                     std::int64_t darts_per_stream);
+#endif
+
+}  // namespace detail
 
 }  // namespace pdc::exemplars

@@ -4,12 +4,6 @@
 
 namespace pdc {
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 std::uint64_t SplitMix64::next() noexcept {
   std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -20,23 +14,6 @@ std::uint64_t SplitMix64::next() noexcept {
 Rng::Rng(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next();
-}
-
-Rng::result_type Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -51,7 +28,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   const std::uint64_t threshold = (~span + 1) % span;  // == 2^64 mod span
   for (;;) {
     const std::uint64_t r = next();
-    const unsigned __int128 m = static_cast<unsigned __int128>(r) * span;
+    __extension__ using u128 = unsigned __int128;
+    const u128 m = static_cast<u128>(r) * span;
     const std::uint64_t low = static_cast<std::uint64_t>(m);
     if (low >= threshold) {
       return lo + static_cast<std::int64_t>(m >> 64);

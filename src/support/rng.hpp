@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -37,12 +38,25 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
 
-  /// Next 64 random bits.
+  /// Next 64 random bits. Defined here, with uniform(), so that dart and
+  /// sampling loops in other translation units inline the generator.
   result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  result_type next() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  /// Uniform double in [0, 1): the 53 high bits of next(), times 2^-53.
+  double uniform() noexcept {
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi) noexcept;
@@ -71,7 +85,17 @@ class Rng {
   /// `base_seed`. Streams for distinct ranks never overlap in practice.
   static Rng for_stream(std::uint64_t base_seed, std::uint64_t rank) noexcept;
 
+  /// The four xoshiro256** state words, for kernels that step several
+  /// generators side by side and must reproduce next() bit for bit.
+  [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {
+    return {s_[0], s_[1], s_[2], s_[3]};
+  }
+
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;
