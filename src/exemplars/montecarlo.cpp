@@ -3,6 +3,10 @@
 #include <mutex>
 #include <vector>
 
+#if PDCLAB_LANES_X86
+#include <cpuid.h>
+#endif
+
 #include "mp/ops.hpp"
 #include "mp/runtime.hpp"
 #include "smp/parallel.hpp"
@@ -110,19 +114,36 @@ using F64x4 = double __attribute__((vector_size(32)));
   return hits[0] + hits[1] + hits[2] + hits[3];
 }
 
-#if PDCLAB_LANES_X86
 using LaneKernel = std::int64_t (*)(std::uint64_t, int, int, std::int64_t);
 
-LaneKernel select_lane_kernel() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2") ? detail::throw_four_streams_avx2
-                                        : detail::throw_four_streams_baseline;
+#if PDCLAB_LANES_X86
+/// AVX2 in the CPU and its 256-bit register state enabled by the OS. Read
+/// with cpuid/xgetbv rather than __builtin_cpu_supports, which links
+/// libgcc's CPU-model constructor: about 18 cpuid instructions, 27 us at
+/// the start of every process on a guest where each one traps.
+bool cpu_has_avx2() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_OSXSAVE) == 0 || (ecx & bit_AVX) == 0) return false;
+  unsigned xcr0 = 0, xcr0_high = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+  if ((xcr0 & 0x6) != 0x6) return false;  // XMM and YMM state saved
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_AVX2) != 0;
 }
-
-/// Chosen once, while the program loads; nothing calls the pi kernels from
-/// a static initializer, so it is set before the first dart.
-const LaneKernel kThrowFourStreams = select_lane_kernel();
 #endif
+
+/// The build that throws four streams, chosen once, on the first call.
+LaneKernel lane_kernel() {
+#if PDCLAB_LANES_X86
+  static const LaneKernel chosen = cpu_has_avx2()
+                                       ? detail::throw_four_streams_avx2
+                                       : detail::throw_four_streams_baseline;
+  return chosen;
+#else
+  return detail::throw_four_streams_baseline;
+#endif
+}
 
 /// Hits scored by streams first, first + stride, ... below num_streams:
 /// whole groups of four through the lane kernel, the rest one at a time.
@@ -131,7 +152,7 @@ std::int64_t throw_strided(std::uint64_t seed, int first, int stride,
   std::int64_t hits = 0;
   int s = first;
   for (; s + 3 * stride < num_streams; s += 4 * stride) {
-    hits += detail::throw_four_streams(seed, s, stride, darts_per_stream);
+    hits += lane_kernel()(seed, s, stride, darts_per_stream);
   }
   for (; s < num_streams; s += stride) {
     hits += throw_stream(seed, s, darts_per_stream);
@@ -157,23 +178,11 @@ std::int64_t throw_four_streams_baseline(std::uint64_t seed, int first,
 }
 #endif
 
-std::int64_t throw_four_streams(std::uint64_t seed, int first, int stride,
-                                std::int64_t darts_per_stream) {
-#if PDCLAB_LANES_X86
-  return kThrowFourStreams(seed, first, stride, darts_per_stream);
-#else
-  return throw_four_streams_baseline(seed, first, stride, darts_per_stream);
-#endif
-}
-
 }  // namespace detail
 
 PiEstimate pi_serial(std::int64_t darts, std::uint64_t seed, int num_streams) {
   check_args(darts, num_streams);
-  PiEstimate estimate{darts, 0};
-  estimate.hits =
-      throw_strided(seed, 0, 1, num_streams, darts / num_streams);
-  return estimate;
+  return {darts, throw_strided(seed, 0, 1, num_streams, darts / num_streams)};
 }
 
 PiEstimate pi_smp(std::int64_t darts, std::uint64_t seed, int num_streams,

@@ -65,13 +65,9 @@ PiEstimate pi_mp(std::int64_t darts, std::uint64_t seed, int num_streams,
 namespace detail {
 
 /// Hits scored by streams first, first + stride, first + 2*stride and
-/// first + 3*stride of `seed`, each throwing `darts_per_stream` darts. Runs
-/// the build picked once at load time: AVX2 when the CPU has it, else the
-/// baseline-ISA build of the same source.
-std::int64_t throw_four_streams(std::uint64_t seed, int first, int stride,
-                                std::int64_t darts_per_stream);
-
-/// The same kernel compiled for the baseline ISA; runs on any CPU.
+/// first + 3*stride of `seed`, each throwing `darts_per_stream` darts,
+/// compiled for the baseline ISA; runs on any CPU. pi_serial and pi_rank
+/// call this build or the AVX2 one, picked once at load time.
 std::int64_t throw_four_streams_baseline(std::uint64_t seed, int first,
                                          int stride,
                                          std::int64_t darts_per_stream);

@@ -90,8 +90,7 @@ TEST(MonteCarloPi, LaneKernelBuildsMatchScalarStreamsPerSeed) {
   // are called directly, so a host with AVX2 tests the fallback too.
   using Kernel = std::int64_t (*)(std::uint64_t, int, int, std::int64_t);
   std::vector<std::pair<const char*, Kernel>> builds = {
-      {"baseline", detail::throw_four_streams_baseline},
-      {"dispatched", detail::throw_four_streams}};
+      {"baseline", detail::throw_four_streams_baseline}};
 #if PDCLAB_LANES_X86
   if (__builtin_cpu_supports("avx2")) {
     builds.emplace_back("avx2", detail::throw_four_streams_avx2);
