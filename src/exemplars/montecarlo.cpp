@@ -49,7 +49,7 @@ std::int64_t throw_stream(std::uint64_t seed, int stream,
 //
 // The kernel is one source compiled twice: for the baseline ISA, where GCC
 // splits each 256-bit vector into two SSE2 halves, and with target "avx2".
-// The build is picked once at load time rather than by compiling the
+// The build is picked at run time, once, rather than by compiling the
 // library with -mavx2, so the same binary still runs on a CPU without AVX2.
 // Only "avx2" is enabled, not x86-64-v3 or haswell: those add FMA, and
 // GCC's default -ffp-contract=fast would then fuse x*x + y*y into one
@@ -119,8 +119,9 @@ using LaneKernel = std::int64_t (*)(std::uint64_t, int, int, std::int64_t);
 #if PDCLAB_LANES_X86
 /// AVX2 in the CPU and its 256-bit register state enabled by the OS. Read
 /// with cpuid/xgetbv rather than __builtin_cpu_supports, which links
-/// libgcc's CPU-model constructor: about 18 cpuid instructions, 27 us at
-/// the start of every process on a guest where each one traps.
+/// libgcc's CPU-model constructor into every program: its cpuid series
+/// added 27 us to each process start on a virtual machine where every
+/// cpuid traps (1.5 us each on a 4-vCPU Xeon guest).
 bool cpu_has_avx2() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;

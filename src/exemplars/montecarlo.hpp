@@ -67,14 +67,14 @@ namespace detail {
 /// Hits scored by streams first, first + stride, first + 2*stride and
 /// first + 3*stride of `seed`, each throwing `darts_per_stream` darts,
 /// compiled for the baseline ISA; runs on any CPU. pi_serial and pi_rank
-/// call this build or the AVX2 one, picked once at load time.
+/// call this build or the AVX2 one, picked once, on the first call.
 std::int64_t throw_four_streams_baseline(std::uint64_t seed, int first,
                                          int stride,
                                          std::int64_t darts_per_stream);
 
 #if PDCLAB_LANES_X86
-/// The same kernel compiled for AVX2. Call only when
-/// __builtin_cpu_supports("avx2") holds.
+/// The same kernel compiled for AVX2. Call only on a CPU with AVX2
+/// (__builtin_cpu_supports("avx2")).
 std::int64_t throw_four_streams_avx2(std::uint64_t seed, int first,
                                      int stride,
                                      std::int64_t darts_per_stream);
