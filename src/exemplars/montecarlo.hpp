@@ -6,7 +6,7 @@
 #include "smp/schedule.hpp"
 
 /// x86 builds carry an AVX2 build of the four-stream dart kernel besides
-/// the baseline one (see detail::throw_four_streams).
+/// the baseline one (see namespace detail below).
 #if defined(__x86_64__) || defined(__i386__)
 #define PDCLAB_LANES_X86 1
 #else
