@@ -3,7 +3,7 @@
 #include <mutex>
 #include <vector>
 
-#if PDCLAB_LANES_X86
+#if defined(__x86_64__)
 #include <cpuid.h>
 #endif
 
@@ -39,6 +39,57 @@ std::int64_t throw_stream(std::uint64_t seed, int stream,
   return hits;
 }
 
+#if defined(__x86_64__)
+/// AVX2 in the CPU and its 256-bit register state enabled by the OS. Read
+/// with cpuid/xgetbv rather than __builtin_cpu_supports, which links
+/// libgcc's CPU-model constructor into every program: its cpuid series
+/// added 27 us to each process start on a virtual machine where every
+/// cpuid traps (1.5 us each on a 4-vCPU Xeon guest).
+bool cpu_has_avx2() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  if ((ecx & bit_OSXSAVE) == 0 || (ecx & bit_AVX) == 0) return false;
+  unsigned xcr0 = 0, xcr0_high = 0;
+  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
+  if ((xcr0 & 0x6) != 0x6) return false;  // XMM and YMM state saved
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  return (ebx & bit_AVX2) != 0;
+}
+
+/// Whether groups of four streams go through the AVX2 kernel; read once,
+/// on the first call, so one binary still runs on a CPU without AVX2.
+bool use_lanes() {
+  static const bool has_avx2 = cpu_has_avx2();
+  return has_avx2;
+}
+#endif
+
+/// Hits scored by streams first, first + stride, ... below num_streams:
+/// whole groups of four through the AVX2 kernel when the CPU has it, the
+/// rest (and every stream without it) one at a time.
+std::int64_t throw_strided(std::uint64_t seed, int first, int stride,
+                           int num_streams, std::int64_t darts_per_stream) {
+  std::int64_t hits = 0;
+  int s = first;
+#if defined(__x86_64__)
+  if (use_lanes()) {
+    for (; s + 3 * stride < num_streams; s += 4 * stride) {
+      hits += detail::throw_four_streams_avx2(seed, s, stride,
+                                              darts_per_stream);
+    }
+  }
+#endif
+  for (; s < num_streams; s += stride) {
+    hits += throw_stream(seed, s, darts_per_stream);
+  }
+  return hits;
+}
+
+}  // namespace
+
+#if defined(__x86_64__)
+namespace detail {
+
 // ---- four streams per call ----------------------------------------------
 // Lane layout: lane k of the kernel is stream first + k*stride, and word w
 // of its xoshiro256** state is element k of vector `s[w]`, so one vector
@@ -47,22 +98,22 @@ std::int64_t throw_stream(std::uint64_t seed, int stream,
 // and adds (AVX2 has no 64-bit multiply), which is the same arithmetic mod
 // 2^64. Each lane's hit count is therefore the scalar throw_stream's.
 //
-// The kernel is one source compiled twice: for the baseline ISA, where GCC
-// splits each 256-bit vector into two SSE2 halves, and with target "avx2".
-// The build is picked at run time, once, rather than by compiling the
-// library with -mavx2, so the same binary still runs on a CPU without AVX2.
-// Only "avx2" is enabled, not x86-64-v3 or haswell: those add FMA, and
-// GCC's default -ffp-contract=fast would then fuse x*x + y*y into one
-// rounding and move the darts that land on the circle's edge. Every vector
-// value lives inside throw_lanes, which is always inlined into the two
-// entry points; a helper returning a 32-byte vector compiled outside the
-// AVX2 function would change its ABI (GCC's -Wpsabi warning).
+// The kernel is compiled with target "avx2" and picked at run time, once,
+// rather than by compiling the library with -mavx2, so the same binary
+// still runs on a CPU without AVX2 (which throws every stream through the
+// scalar loop). x*x + y*y must stay two roundings like the scalar loop's:
+// a fused multiply-add moves the darts that land on the circle's edge.
+// This file is compiled with -ffp-contract=off (src/exemplars/
+// CMakeLists.txt), so neither loop is fused whatever ISA the build
+// targets. Every vector value lives inside this one function; a helper
+// returning a 32-byte vector compiled outside the AVX2 function would
+// change its ABI (GCC's -Wpsabi warning).
 
 using U64x4 = std::uint64_t __attribute__((vector_size(32)));
 using I64x4 = std::int64_t __attribute__((vector_size(32)));
 using F64x4 = double __attribute__((vector_size(32)));
 
-[[gnu::always_inline]] inline std::int64_t throw_lanes(
+[[gnu::target("avx2")]] std::int64_t throw_four_streams_avx2(
     std::uint64_t seed, int first, int stride,
     std::int64_t darts_per_stream) {
   U64x4 s[4];
@@ -114,72 +165,8 @@ using F64x4 = double __attribute__((vector_size(32)));
   return hits[0] + hits[1] + hits[2] + hits[3];
 }
 
-using LaneKernel = std::int64_t (*)(std::uint64_t, int, int, std::int64_t);
-
-#if PDCLAB_LANES_X86
-/// AVX2 in the CPU and its 256-bit register state enabled by the OS. Read
-/// with cpuid/xgetbv rather than __builtin_cpu_supports, which links
-/// libgcc's CPU-model constructor into every program: its cpuid series
-/// added 27 us to each process start on a virtual machine where every
-/// cpuid traps (1.5 us each on a 4-vCPU Xeon guest).
-bool cpu_has_avx2() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
-  if ((ecx & bit_OSXSAVE) == 0 || (ecx & bit_AVX) == 0) return false;
-  unsigned xcr0 = 0, xcr0_high = 0;
-  __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_high) : "c"(0));
-  if ((xcr0 & 0x6) != 0x6) return false;  // XMM and YMM state saved
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
-  return (ebx & bit_AVX2) != 0;
-}
-#endif
-
-/// The build that throws four streams, chosen once, on the first call.
-LaneKernel lane_kernel() {
-#if PDCLAB_LANES_X86
-  static const LaneKernel chosen = cpu_has_avx2()
-                                       ? detail::throw_four_streams_avx2
-                                       : detail::throw_four_streams_baseline;
-  return chosen;
-#else
-  return detail::throw_four_streams_baseline;
-#endif
-}
-
-/// Hits scored by streams first, first + stride, ... below num_streams:
-/// whole groups of four through the lane kernel, the rest one at a time.
-std::int64_t throw_strided(std::uint64_t seed, int first, int stride,
-                           int num_streams, std::int64_t darts_per_stream) {
-  std::int64_t hits = 0;
-  int s = first;
-  for (; s + 3 * stride < num_streams; s += 4 * stride) {
-    hits += lane_kernel()(seed, s, stride, darts_per_stream);
-  }
-  for (; s < num_streams; s += stride) {
-    hits += throw_stream(seed, s, darts_per_stream);
-  }
-  return hits;
-}
-
-}  // namespace
-
-namespace detail {
-
-std::int64_t throw_four_streams_baseline(std::uint64_t seed, int first,
-                                         int stride,
-                                         std::int64_t darts_per_stream) {
-  return throw_lanes(seed, first, stride, darts_per_stream);
-}
-
-#if PDCLAB_LANES_X86
-[[gnu::target("avx2")]] std::int64_t throw_four_streams_avx2(
-    std::uint64_t seed, int first, int stride,
-    std::int64_t darts_per_stream) {
-  return throw_lanes(seed, first, stride, darts_per_stream);
-}
-#endif
-
 }  // namespace detail
+#endif
 
 PiEstimate pi_serial(std::int64_t darts, std::uint64_t seed, int num_streams) {
   check_args(darts, num_streams);

@@ -5,14 +5,6 @@
 #include "mp/communicator.hpp"
 #include "smp/schedule.hpp"
 
-/// x86 builds carry an AVX2 build of the four-stream dart kernel besides
-/// the baseline one (see namespace detail below).
-#if defined(__x86_64__) || defined(__i386__)
-#define PDCLAB_LANES_X86 1
-#else
-#define PDCLAB_LANES_X86 0
-#endif
-
 namespace pdc::exemplars {
 
 /// The Monte Carlo pi exemplar: throw random darts at the unit square and
@@ -56,30 +48,24 @@ PiEstimate pi_rank(mp::Communicator& comm, std::int64_t darts,
 PiEstimate pi_mp(std::int64_t darts, std::uint64_t seed, int num_streams,
                  int num_procs);
 
-/// The dart kernel behind pi_serial and pi_rank, which throw their streams
-/// four at a time: one xoshiro256** generator per 64-bit lane of 256-bit
-/// vectors, bit-identical to throwing the four streams one after another.
-/// Leftover streams (fewer than four) and pi_smp's one-stream tasks take
-/// the scalar loop. Exposed so tests can hold every build to the scalar
-/// result.
+#if defined(__x86_64__)
+/// The dart kernel behind pi_serial and pi_rank on a CPU with AVX2, which
+/// then throw their streams four at a time: one xoshiro256** generator per
+/// 64-bit lane of 256-bit vectors, bit-identical to throwing the four
+/// streams one after another. Elsewhere, and for leftover streams (fewer
+/// than four) and pi_smp's one-stream tasks, they take the scalar loop.
+/// Exposed so tests can hold the kernel to the scalar result.
 namespace detail {
 
 /// Hits scored by streams first, first + stride, first + 2*stride and
-/// first + 3*stride of `seed`, each throwing `darts_per_stream` darts,
-/// compiled for the baseline ISA; runs on any CPU. pi_serial and pi_rank
-/// call this build or the AVX2 one, picked once, on the first call.
-std::int64_t throw_four_streams_baseline(std::uint64_t seed, int first,
-                                         int stride,
-                                         std::int64_t darts_per_stream);
-
-#if PDCLAB_LANES_X86
-/// The same kernel compiled for AVX2. Call only on a CPU with AVX2
-/// (__builtin_cpu_supports("avx2")).
+/// first + 3*stride of `seed`, each throwing `darts_per_stream` darts.
+/// Compiled for AVX2: call only on a CPU with AVX2 whose OS saves the
+/// 256-bit register state (cpuid and xgetbv, as pi_serial checks).
 std::int64_t throw_four_streams_avx2(std::uint64_t seed, int first,
                                      int stride,
                                      std::int64_t darts_per_stream);
-#endif
 
 }  // namespace detail
+#endif
 
 }  // namespace pdc::exemplars

@@ -972,7 +972,11 @@ TEST(LabServer, CancelOfARunningInlineJobIsRejected) {
     const auto outcome = client.submit(pi_submit(seed));
     ASSERT_TRUE(outcome.accepted());
     const std::uint64_t job_id = outcome.accept->job_id;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (side.query_status(job_id).state == JobState::Queued) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "seed " << seed << ": no worker picked the job up in 10 s";
       std::this_thread::yield();
     }
     const auto cancelled = side.cancel(job_id, "hands-on", "ada");
