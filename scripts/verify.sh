@@ -3,8 +3,9 @@
 #
 #   scripts/verify.sh [build-dir-prefix]
 #
-# 1. tier-1      — regular build, the whole test suite (fast, seeds at
-#                  defaults)
+# 1. tier-1      — regular build with warnings as errors
+#                  (-DPDCLAB_WERROR=ON), the whole test suite (fast, seeds
+#                  at defaults)
 # 2. asan        — AddressSanitizer+UndefinedBehaviorSanitizer build
 #                  (-DPDCLAB_SANITIZE=address+undefined), the whole tier-1
 #                  suite once under it: every decoder meets the hostile-byte
@@ -74,7 +75,7 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 seeds="${PDCLAB_CHAOS_SEEDS:-80}"
 
 echo "==> [1/10] tier-1: build + full test suite (${prefix})"
-cmake -B "${prefix}" -S . >/dev/null
+cmake -B "${prefix}" -S . -DPDCLAB_WERROR=ON >/dev/null
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 

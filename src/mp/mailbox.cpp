@@ -141,7 +141,9 @@ void Mailbox::record_match(const Envelope& envelope, std::size_t scanned) {
   session->record(std::move(event));
 }
 
-Envelope Mailbox::receive(std::uint64_t comm_id, int source, int tag) {
+std::optional<Envelope> Mailbox::await_match(
+    std::uint64_t comm_id, int source, int tag, Claim claim,
+    std::optional<std::chrono::steady_clock::time_point> deadline) {
   // With a progress engine installed the blocked receiver must keep pumping
   // the transport, so the wait is a scan → engine->wait loop instead of a
   // condition-variable predicate. Lost-wakeup safety: the epoch is sampled
@@ -155,20 +157,38 @@ Envelope Mailbox::receive(std::uint64_t comm_id, int source, int tag) {
     if (CommQueue* comm = comm_for(comm_id)) {
       std::size_t scanned = 0;
       if (const auto hit = find_match(*comm, source, tag, &scanned)) {
-        record_match((*hit->fifo)[hit->index].envelope, scanned);
+        const Envelope& matched = (*hit->fifo)[hit->index].envelope;
+        if (claim == Claim::Peek) return matched;  // shares the payload
+        record_match(matched, scanned);
         return take(comm_id, *comm, *hit);
       }
     }
+    auto engine_wait = std::chrono::milliseconds(100);
+    if (deadline) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now >= *deadline) return std::nullopt;
+      engine_wait = std::min(
+          engine_wait,
+          std::chrono::duration_cast<std::chrono::milliseconds>(*deadline - now));
+    }
     ProgressEngine* engine = progress_.load(std::memory_order_acquire);
     if (!engine) {
-      arrived_.wait(lock);
+      if (deadline) {
+        arrived_.wait_until(lock, *deadline);
+      } else {
+        arrived_.wait(lock);
+      }
       continue;
     }
     const std::uint64_t seen = engine->epoch();
     lock.unlock();
-    engine->wait(seen, std::chrono::milliseconds(100));
+    engine->wait(seen, engine_wait);
     lock.lock();
   }
+}
+
+Envelope Mailbox::receive(std::uint64_t comm_id, int source, int tag) {
+  return *await_match(comm_id, source, tag, Claim::Take, std::nullopt);
 }
 
 std::optional<Envelope> Mailbox::try_receive(std::uint64_t comm_id, int source,
@@ -193,53 +213,14 @@ std::optional<Envelope> Mailbox::try_receive(std::uint64_t comm_id, int source,
 std::optional<Envelope> Mailbox::receive_for(std::uint64_t comm_id, int source,
                                              int tag,
                                              std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    if (aborted_) throw Aborted{};
-    if (CommQueue* comm = comm_for(comm_id)) {
-      std::size_t scanned = 0;
-      if (const auto hit = find_match(*comm, source, tag, &scanned)) {
-        record_match((*hit->fifo)[hit->index].envelope, scanned);
-        return take(comm_id, *comm, *hit);
-      }
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return std::nullopt;
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now);
-    ProgressEngine* engine = progress_.load(std::memory_order_acquire);
-    if (!engine) {
-      arrived_.wait_until(lock, deadline);
-      continue;
-    }
-    const std::uint64_t seen = engine->epoch();
-    lock.unlock();
-    engine->wait(seen, std::min(left, std::chrono::milliseconds(100)));
-    lock.lock();
-  }
+  return await_match(comm_id, source, tag, Claim::Take,
+                     std::chrono::steady_clock::now() + timeout);
 }
 
 Status Mailbox::probe(std::uint64_t comm_id, int source, int tag) {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    if (aborted_) throw Aborted{};
-    if (CommQueue* comm = comm_for(comm_id)) {
-      if (const auto hit = find_match(*comm, source, tag)) {
-        const Envelope& e = (*hit->fifo)[hit->index].envelope;
-        return Status{e.source, e.tag, e.size_bytes()};
-      }
-    }
-    ProgressEngine* engine = progress_.load(std::memory_order_acquire);
-    if (!engine) {
-      arrived_.wait(lock);
-      continue;
-    }
-    const std::uint64_t seen = engine->epoch();
-    lock.unlock();
-    engine->wait(seen, std::chrono::milliseconds(100));
-    lock.lock();
-  }
+  const Envelope e =
+      *await_match(comm_id, source, tag, Claim::Peek, std::nullopt);
+  return Status{e.source, e.tag, e.size_bytes()};
 }
 
 std::optional<Status> Mailbox::try_probe(std::uint64_t comm_id, int source,

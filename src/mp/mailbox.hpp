@@ -160,6 +160,19 @@ class Mailbox {
   /// comm entry when it empties. Caller holds mutex_.
   Envelope take(std::uint64_t comm_id, CommQueue& comm, const Hit& hit);
 
+  /// Whether a blocking wait removes its match or leaves it queued.
+  enum class Claim { Take, Peek };
+
+  /// The one blocking loop behind receive, receive_for and probe: scan for
+  /// a (source, tag) match on `comm_id`, and while none is queued wait for a
+  /// delivery — on arrived_, or through the progress engine when one is
+  /// installed. Take removes and returns the match (recording its trace
+  /// counters); Peek returns a copy that shares the queued payload. Returns
+  /// nullopt once `deadline` passes; throws Aborted after abort().
+  std::optional<Envelope> await_match(
+      std::uint64_t comm_id, int source, int tag, Claim claim,
+      std::optional<std::chrono::steady_clock::time_point> deadline);
+
   /// Record trace counters and the enqueue-to-match latency event for a
   /// matched envelope. No-op without an active trace session. Caller holds
   /// mutex_.

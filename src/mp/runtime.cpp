@@ -15,6 +15,7 @@
 
 #include "chaos/chaos.hpp"
 #include "support/error.hpp"
+#include "support/wait.hpp"
 #include "trace/trace.hpp"
 
 namespace pdc::mp {
@@ -65,38 +66,6 @@ struct Job {
   }
 };
 
-/// How long run()'s thread polls for the crew ranks before it sleeps.
-constexpr auto kPollBeforeSleep = std::chrono::microseconds(20);
-
-/// Counts a job's crew ranks down to zero. Shared (not in run()'s frame)
-/// so the last rank's notify never touches a returned frame.
-struct Latch {
-  explicit Latch(int count) : remaining(count) {}
-  std::atomic<int> remaining;
-
-  void finish() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      remaining.notify_one();
-    }
-  }
-
-  /// Called once rank 0 is done. The crew ranks of a job usually finish
-  /// within microseconds of rank 0, so poll briefly first: a futex sleep
-  /// would put a cross-CPU wake on the return path of nearly every job.
-  /// Only a job's own caller polls, and only while its job runs; a parked
-  /// crew thread never does.
-  void wait() {
-    const auto poll_end = Clock::now() + kPollBeforeSleep;
-    do {
-      if (remaining.load(std::memory_order_acquire) == 0) return;
-    } while (Clock::now() < poll_end);
-    for (int left = remaining.load(std::memory_order_acquire); left != 0;
-         left = remaining.load(std::memory_order_acquire)) {
-      remaining.wait(left, std::memory_order_acquire);
-    }
-  }
-};
-
 /// One rank of one job, as handed to a crew thread.
 struct Task {
   Job* job = nullptr;
@@ -116,8 +85,9 @@ struct Slot {
 /// 1..np-1 of a job go to parked threads, and a thread is spawned only when
 /// none is parked, so the crew grows to the peak concurrent demand and a
 /// warm job creates no thread. A parked thread sleeps on its slot's epoch
-/// word (a futex, no spin budget: the lab server's idle gaps between jobs
-/// cost no CPU). The crew is never destroyed and its threads are detached:
+/// word: a bare futex wait, the one exception to the shared wait policy
+/// (support/wait.hpp), so the lab server's idle gaps between jobs cost no
+/// CPU. The crew is never destroyed and its threads are detached:
 /// a parked thread touches only its slot and the crew, and a busy one only
 /// a job whose run() is still waiting for it, so nothing it uses dies
 /// before it. Joining at exit would hang the exit on a rank that never
@@ -166,7 +136,7 @@ class Crew {
         std::thread(&Crew::serve, this, Task{&job, rank, latch}).detach();
       }
     } catch (...) {
-      for (; rank < np; ++rank) latch->finish();
+      for (; rank < np; ++rank) latch->count_down();
       throw;
     }
   }
@@ -189,7 +159,7 @@ class Crew {
           slot.next = parked_;
           parked_ = &slot;
         }
-        latch->finish();
+        latch->count_down();
       }
       slot.epoch.wait(seen, std::memory_order_acquire);
       task = std::move(slot.task);
@@ -320,9 +290,12 @@ RunResult run(const RunConfig& cfg,
     deadline = Deadlines::instance().add(job, cfg.watchdog_ms);
   }
 
+  // Shared, not in this frame, so the last rank's notify never touches a
+  // returned frame.
   std::shared_ptr<Latch> latch;
   if (cfg.num_procs > 1) {
-    latch = std::make_shared<Latch>(cfg.num_procs - 1);
+    latch = std::make_shared<Latch>(
+        static_cast<std::uint32_t>(cfg.num_procs - 1));
     try {
       Crew::instance().launch(job, cfg.num_procs, latch);
     } catch (...) {

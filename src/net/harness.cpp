@@ -76,7 +76,7 @@ ClusterResult run_socket_cluster(
   std::string job = options.job;
   if (options.use_shm) {
     static std::atomic<unsigned> cluster_seq{0};
-    job += "-" + std::to_string(static_cast<long>(::getpid())) + "-" +
+    job += '-' + std::to_string(static_cast<long>(::getpid())) + '-' +
            std::to_string(cluster_seq.fetch_add(1));
   }
 

@@ -1,8 +1,8 @@
 #include "smp/barrier.hpp"
 
 #include "chaos/chaos.hpp"
-#include "smp/config.hpp"
 #include "support/error.hpp"
+#include "support/wait.hpp"
 #include "trace/trace.hpp"
 
 namespace pdc::smp {
@@ -48,12 +48,9 @@ std::size_t CyclicBarrier::arrive_and_wait() {
     return my_index;
   }
 
-  const auto released = [&] {
+  wait_until(phase_, [&] {
     return phase_.load(std::memory_order_acquire) != my_phase;
-  };
-  if (!detail::spin_then_yield(spin_limit(), released)) {
-    while (!released()) phase_.wait(my_phase, std::memory_order_acquire);
-  }
+  });
   if (poisoned()) {
     throw TeamAborted("smp: barrier poisoned while waiting");
   }

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 
 #include "support/error.hpp"
 
@@ -20,49 +19,17 @@ class TeamAborted : public Error {
   explicit TeamAborted(const std::string& what) : Error(what) {}
 };
 
-namespace detail {
-
-/// One iteration of polite spinning (a pause on x86, plain no-op elsewhere).
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield" ::: "memory");
-#endif
-}
-
-/// The shared wait policy of the smp runtime: poll `ready` through a bounded
-/// spin phase (config::spin_limit() iterations), then a short yield phase
-/// (oversubscription-friendly: a 16-thread teaching example on a 1-core CI
-/// container must make progress), then fall through to the caller's blocking
-/// wait. Returns true if `ready` turned true before blocking is needed.
-template <typename Ready>
-bool spin_then_yield(std::size_t spin_budget, Ready&& ready) {
-  for (std::size_t i = 0; i < spin_budget; ++i) {
-    if (ready()) return true;
-    cpu_relax();
-  }
-  constexpr int kYields = 16;
-  for (int i = 0; i < kYields; ++i) {
-    if (ready()) return true;
-    std::this_thread::yield();
-  }
-  return ready();
-}
-
-}  // namespace detail
-
 /// Reusable (cyclic) barrier for a fixed-size thread team.
 ///
 /// This is the synchronization primitive behind the `barrier` patternlet and
 /// the implicit barriers at the end of worksharing constructs. It is a
 /// centralized sense-reversing barrier on two atomics: arrivals fetch_add a
 /// counter, the last arriver resets it and bumps the phase word every waiter
-/// watches. Waiters spin briefly, then yield, then block on an atomic wait
-/// (futex) — so an uncontended round trip never touches the kernel while an
-/// oversubscribed host (e.g. a 1-core CI container running a 16-thread
-/// teaching example) still parks instead of burning its only core. The spin
-/// budget is config::spin_limit() (PDCLAB_SMP_SPIN).
+/// watches. Waiters follow the shared wait policy (support/wait.hpp): spin
+/// briefly, then yield, then block on a futex — so an uncontended round trip
+/// never touches the kernel while an oversubscribed host (e.g. a 1-core CI
+/// container running a 16-thread teaching example) still parks instead of
+/// burning its only core.
 ///
 /// poison() aborts the barrier permanently: every current waiter wakes and
 /// every present or future arrival throws TeamAborted instead of blocking —

@@ -20,21 +20,4 @@ void set_default_num_threads(std::size_t n);
 /// The hardware concurrency of this host (never 0).
 std::size_t hardware_threads();
 
-/// Sentinel for set_spin_limit(): restore environment/hardware resolution.
-inline constexpr std::size_t kSpinAuto = static_cast<std::size_t>(-1);
-
-/// How many times a waiting thread polls before it starts yielding and then
-/// blocks (the spin phase of every smp wait: barriers, the fork-join
-/// completion latch, parked workers, and slot-ring recycling). Resolution:
-///   1. the value set by set_spin_limit(),
-///   2. the PDCLAB_SMP_SPIN environment variable,
-///   3. a hardware default: 0 on single-core hosts (spinning there only
-///      steals the core from the thread being waited for), 4096 otherwise.
-std::size_t spin_limit();
-
-/// Programmatic override; `kSpinAuto` restores environment/hardware
-/// resolution. `0` means "never spin, go straight to yield-then-block" —
-/// the right setting for heavily oversubscribed hosts.
-void set_spin_limit(std::size_t n);
-
 }  // namespace pdc::smp

@@ -1,5 +1,7 @@
 #include "smp/team.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <exception>
 #include <thread>
@@ -7,6 +9,7 @@
 
 #include "chaos/chaos.hpp"
 #include "smp/config.hpp"
+#include "support/wait.hpp"
 
 namespace pdc::smp {
 
@@ -43,12 +46,10 @@ Team::Slot& Team::acquire_slot(std::uint64_t id) {
       return slot.serving.load(std::memory_order_acquire) == id ||
              aborted();
     };
-    for (;;) {
-      if (detail::spin_then_yield(spin_limit(), recycled)) break;
-      // Stay in a yield loop (no futex: recycling is too rare to make every
-      // depart pay a notify); keep polling the poison flag.
-      std::this_thread::yield();
-    }
+    // Stay in a yield loop after the shared spin phase (no futex: recycling
+    // is too rare to make every depart pay a notify); keep polling the
+    // poison flag.
+    while (!spin_then_yield(recycled)) std::this_thread::yield();
     if (slot.serving.load(std::memory_order_acquire) != id) {
       throw TeamAborted("smp: worksharing slot abandoned, team poisoned");
     }
@@ -240,39 +241,15 @@ namespace {
 /// forking thread and every dispatched worker so the completion notify can
 /// never touch a dead frame.
 struct RegionControl {
-  std::atomic<std::uint32_t> remaining{0};
+  explicit RegionControl(std::uint32_t workers) : finished(workers) {}
+
+  Latch finished;  ///< counted down once per member run off the caller
   std::mutex error_mutex;
   std::exception_ptr first_error;
 
   void record_error(std::exception_ptr error) {
     std::lock_guard lock(error_mutex);
     if (!first_error) first_error = std::move(error);
-  }
-
-  /// Called by a worker as its very last touch of the region.
-  void finish() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      remaining.notify_all();
-    }
-  }
-
-  void wait_all_finished() {
-    const auto done = [&] {
-      return remaining.load(std::memory_order_acquire) == 0;
-    };
-    if (detail::spin_then_yield(spin_limit(), done)) return;
-    // Keep yielding well past the shared budget before the futex sleep: the
-    // forking thread's members are the very threads that need the core, so
-    // every yield here is donated directly to finishing the region, while a
-    // futex sleep puts a wake/switch round trip on the join's critical path.
-    for (int i = 0; i < 256; ++i) {
-      if (done()) return;
-      std::this_thread::yield();
-    }
-    std::uint32_t r;
-    while ((r = remaining.load(std::memory_order_acquire)) != 0) {
-      remaining.wait(r, std::memory_order_acquire);
-    }
   }
 };
 
@@ -295,28 +272,43 @@ struct Job {
   std::uint32_t epoch_at_dispatch = 0;
 };
 
+/// One cached worker's mailbox. Created with its thread and, like the
+/// thread, never destroyed, so a forking thread may keep a pointer to a slot
+/// whose worker has long since moved on to another region.
 struct WorkerSlot {
   std::mutex mutex;
-  std::condition_variable cv;
   std::atomic<std::uint32_t> epoch{0};  ///< bumped to wake the worker
   Job job;
-  bool exit = false;
-  bool sleeping = false;  ///< worker is blocked in cv.wait (under mutex)
 };
 
 /// The process-wide cached worker team behind `parallel(...)`.
 ///
-/// Workers park on a per-worker epoch word (spin-then-yield, then a
-/// condition-variable block) instead of exiting, so forking a region costs
-/// an unpark — not a ~100 µs thread spawn — per member. The cache grows to
+/// Workers park on a per-worker epoch word (the shared wait policy:
+/// spin, yield, futex) instead of exiting, so forking a region costs an
+/// unpark — not a ~100 µs thread spawn — per member. The cache grows to
 /// the largest concurrent demand (nested regions simply draw more workers)
-/// and parks everything between regions; all threads are joined at process
-/// exit.
+/// and parks everything between regions.
+///
+/// The cache is never destroyed and its threads are detached, as with mp's
+/// rank crew: a parked worker touches only its slot and the cache, and a
+/// busy one only a region whose `parallel(...)` still waits for it. Joining
+/// at exit would hang the exit on a member that never returns. A process
+/// forked without exec starts with an empty cache: the parked threads do
+/// not exist in the child.
 class WorkerCache {
  public:
   static WorkerCache& instance() {
-    static WorkerCache cache;
-    return cache;
+    static WorkerCache* const cache = [] {
+      auto* created = new WorkerCache;
+      ::pthread_atfork([] { instance().mutex_.lock(); },
+                       [] { instance().mutex_.unlock(); },
+                       [] {
+                         instance().parked_.clear();
+                         instance().mutex_.unlock();
+                       });
+      return created;
+    }();
+    return *cache;
   }
 
   /// Wake the worker parked on `slot` — but only if the slot still holds a
@@ -327,17 +319,13 @@ class WorkerCache {
   /// A late wake that lands on a slot already re-drafted by a *newer*
   /// region merely starts that region's member a little early — harmless.
   static void wake(WorkerSlot& slot) {
-    bool sleeping;
     {
       std::lock_guard lock(slot.mutex);
       if (!slot.job.invoke) return;  // stolen before we got here
       slot.epoch.fetch_add(1, std::memory_order_release);
-      sleeping = slot.sleeping;
     }
-    // Skip the notify syscall for a worker still in its yield phase: it
-    // polls the epoch before ever blocking, and the locked handoff above
-    // means it cannot be mid-transition to sleep.
-    if (sleeping) slot.cv.notify_one();
+    // No syscall unless some thread sleeps on the word.
+    slot.epoch.notify_one();
   }
 
   /// Hand one region's jobs for team members [first, last) to workers: one
@@ -356,106 +344,79 @@ class WorkerCache {
                        const void* env,
                        const std::shared_ptr<RegionControl>& control,
                        std::size_t first, std::size_t last,
-                       std::vector<std::shared_ptr<WorkerSlot>>& chain) {
+                       std::vector<WorkerSlot*>& chain) {
     std::size_t thread_num = first;
-    std::size_t chained = 0;
     {
       // One pass under a single cache lock, drafting workers straight off
-      // the parked list (no refcount churn). Each job write takes the slot
-      // mutex: a slot that served an earlier region can still be *read*
-      // (under that mutex) by the earlier forking thread's steal walk — a
-      // re-drafted slot legitimately lives in two chains at once.
+      // the parked list. Each job write takes the slot mutex: a slot that
+      // served an earlier region can still be *read* (under that mutex) by
+      // the earlier forking thread's steal walk — a re-drafted slot
+      // legitimately lives in two chains at once.
       std::lock_guard lock(mutex_);
       while (thread_num < last && !parked_.empty()) {
-        std::shared_ptr<WorkerSlot>& slot = parked_.back();
+        WorkerSlot* slot = parked_.back();
+        parked_.pop_back();
         {
           std::lock_guard handoff(slot->mutex);
           slot->job = Job{invoke, env, control, thread_num++,
                           /*wake_next=*/nullptr,
                           slot->epoch.load(std::memory_order_relaxed)};
         }
-        chain.push_back(std::move(slot));
-        parked_.pop_back();
+        chain.push_back(slot);
       }
-      chained = chain.size();
     }
+    const std::size_t chained = chain.size();
     for (std::size_t i = 1; i < chained; ++i) {
       // Same rule as above: job fields are only ever touched under the slot
       // mutex once the slot has left the parked list.
       std::lock_guard link(chain[i - 1]->mutex);
-      chain[i - 1]->job.wake_next = chain[i].get();
+      chain[i - 1]->job.wake_next = chain[i];
     }
     for (; thread_num < last; ++thread_num) {
       // No parked worker left: start a fresh thread that runs this job and
       // then parks itself for reuse. Fresh threads self-start (no wake
       // needed, so they take no chain link), but they still join `chain` so
       // the back-steal can claim their job if the caller gets there first.
-      auto fresh = std::make_shared<WorkerSlot>();
+      auto* fresh = new WorkerSlot;
       fresh->job = Job{invoke, env, control, thread_num,
                        /*wake_next=*/nullptr, /*epoch_at_dispatch=*/0};
       fresh->epoch.store(1, std::memory_order_release);
       chain.push_back(fresh);
-      std::lock_guard lock(mutex_);
-      threads_.emplace_back([this, fresh] { worker_main(std::move(fresh)); });
+      std::thread([this, fresh] { worker_main(*fresh); }).detach();
     }
     if (chained != 0) wake(*chain.front());
   }
 
-  /// Return a drafted-but-never-woken slot to the parked pool after its job
-  /// was stolen: its worker is still waiting exactly as a parked worker
-  /// does. On the (static-destruction) shutdown race, tell the worker to
-  /// exit instead — the destructor has already swapped out the parked list.
-  void reclaim(const std::shared_ptr<WorkerSlot>& slot) {
-    if (park(slot)) return;
-    {
-      std::lock_guard lock(slot->mutex);
-      slot->exit = true;
-      slot->epoch.fetch_add(1, std::memory_order_release);
-    }
-    slot->cv.notify_one();
-  }
-
-  ~WorkerCache() {
-    std::vector<std::shared_ptr<WorkerSlot>> parked;
-    std::vector<std::thread> threads;
-    {
-      std::lock_guard lock(mutex_);
-      shutdown_ = true;
-      parked.swap(parked_);
-      threads.swap(threads_);
-    }
-    for (auto& slot : parked) {
-      {
-        std::lock_guard lock(slot->mutex);
-        slot->exit = true;
-        slot->epoch.fetch_add(1, std::memory_order_release);
-      }
-      slot->cv.notify_one();
-    }
-    for (auto& thread : threads) thread.join();
+  /// Put `slot` on the parked list: a worker re-parking itself, or the
+  /// forking thread returning a drafted-but-never-woken slot whose job it
+  /// stole (that worker is still waiting exactly as a parked worker does).
+  void park(WorkerSlot& slot) {
+    std::lock_guard lock(mutex_);
+    parked_.push_back(&slot);
   }
 
  private:
-  void worker_main(std::shared_ptr<WorkerSlot> slot) {
+  WorkerCache() = default;
+
+  void worker_main(WorkerSlot& slot) {
     std::uint32_t seen = 0;
     for (;;) {
-      wait_for_wakeup(*slot, seen);
-      seen = slot->epoch.load(std::memory_order_acquire);
+      wait_until(slot.epoch, [&] {
+        return slot.epoch.load(std::memory_order_acquire) != seen;
+      });
+      seen = slot.epoch.load(std::memory_order_acquire);
       Job job;
-      bool exit;
       {
-        std::lock_guard lock(slot->mutex);
-        exit = slot->exit;
-        job = std::move(slot->job);
-        slot->job = Job{};
+        std::lock_guard lock(slot.mutex);
+        job = std::move(slot.job);
+        slot.job = Job{};
       }
-      if (exit) return;
       if (!job.invoke) {
         // Woken, but the forking thread stole the job first (the steal ran
         // between our wake and our take). By the reverse-order steal
         // invariant there is no chain successor left to serve either —
         // just park again.
-        if (!park(slot)) return;
+        park(slot);
         continue;
       }
 
@@ -468,42 +429,16 @@ class WorkerCache {
 
       // Re-park *before* releasing the region latch so the very next
       // region can reuse this thread, then drop every reference into the
-      // (about to unwind) parallel frame before the final finish().
+      // (about to unwind) parallel frame before the final count_down().
       auto control = std::move(job.control);
       job = Job{};
-      const bool parked = park(slot);
-      control->finish();
-      if (!parked) return;  // cache shut down while we ran
+      park(slot);
+      control->finished.count_down();
     }
   }
 
-  void wait_for_wakeup(WorkerSlot& slot, std::uint32_t seen) {
-    const auto woken = [&] {
-      return slot.epoch.load(std::memory_order_acquire) != seen;
-    };
-    // The shared spin-then-yield policy before blocking: a worker that just
-    // re-parked usually sees the next region's epoch bump while still in
-    // the yield phase and skips the futex sleep/wake cycle entirely —
-    // that's what makes a region-per-trial loop pay an unpark, not a
-    // context-switch round trip, per region.
-    if (detail::spin_then_yield(spin_limit(), woken)) return;
-    std::unique_lock lock(slot.mutex);
-    slot.sleeping = true;
-    slot.cv.wait(lock, woken);
-    slot.sleeping = false;
-  }
-
-  bool park(const std::shared_ptr<WorkerSlot>& slot) {
-    std::lock_guard lock(mutex_);
-    if (shutdown_) return false;
-    parked_.push_back(slot);
-    return true;
-  }
-
   std::mutex mutex_;
-  std::vector<std::shared_ptr<WorkerSlot>> parked_;
-  std::vector<std::thread> threads_;
-  bool shutdown_ = false;
+  std::vector<WorkerSlot*> parked_;
 };
 
 }  // namespace
@@ -514,7 +449,8 @@ void parallel(std::size_t num_threads,
   const std::size_t n = num_threads == 0 ? default_num_threads() : num_threads;
   Team team(n);
 
-  auto control = std::make_shared<RegionControl>();
+  auto control =
+      std::make_shared<RegionControl>(static_cast<std::uint32_t>(n - 1));
 
   const auto run_member = [&](std::size_t thread_num) {
     TeamContext ctx(team, thread_num);
@@ -537,9 +473,7 @@ void parallel(std::size_t num_threads,
   using RunMember = decltype(run_member);
 
   if (n > 1) {
-    control->remaining.store(static_cast<std::uint32_t>(n - 1),
-                             std::memory_order_relaxed);
-    std::vector<std::shared_ptr<WorkerSlot>> chain;
+    std::vector<WorkerSlot*> chain;
     chain.reserve(n - 1);
     WorkerCache::instance().dispatch_region(
         [](const void* env, std::size_t thread_num) {
@@ -578,13 +512,13 @@ void parallel(std::size_t num_threads,
                     stolen.epoch_at_dispatch;
         }
       }
-      if (reclaim) WorkerCache::instance().reclaim(*it);
+      if (reclaim) WorkerCache::instance().park(slot);
       if (stolen.invoke) {
         stolen.invoke(stolen.env, stolen.thread_num);
-        control->finish();
+        control->finished.count_down();
       }
     }
-    control->wait_all_finished();
+    control->finished.wait();
   } else {
     run_member(0);
   }

@@ -279,7 +279,8 @@ class TeamContext {
 /// run on the process-wide cached worker team: parked threads woken by an
 /// epoch bump, re-parked when the region ends — so a program entering a
 /// region per trial/batch (the forest-fire and integration exemplars) pays
-/// an unpark, not a thread spawn, per region.
+/// an unpark, not a thread spawn, per region. The cached workers are never
+/// joined; a process forked without exec starts with none.
 ///
 /// The first exception thrown by any member poisons the team — waking every
 /// sibling parked at a barrier/reduction/ordered wait with TeamAborted — and

@@ -59,7 +59,7 @@ std::string BarChart::render() const {
       out += strings::pad_right(series_[s].name, name_width);
       out += " ";
       out += std::string(bar_len, kFills[s % sizeof(kFills)]);
-      out += " " + strings::fixed(v, v == std::floor(v) ? 0 : 2);
+      out += ' ' + strings::fixed(v, v == std::floor(v) ? 0 : 2);
       out += "\n";
     }
     if (series_.size() > 1 && c + 1 < categories_.size()) out += "\n";

@@ -43,7 +43,9 @@ void collective_ring_scenario(mp::Communicator& comm) {
   ASSERT_EQ(from_prev, prev);
 
   const auto everyone = comm.gather(rank * 10, 0);
-  if (rank == 0) ASSERT_EQ(everyone.size(), static_cast<std::size_t>(size));
+  if (rank == 0) {
+    ASSERT_EQ(everyone.size(), static_cast<std::size_t>(size));
+  }
 }
 
 struct RunLog {

@@ -109,7 +109,7 @@ TEST(CostModel, EfficiencyIsSpeedupOverP) {
 TEST(CostModel, ValidatesArguments) {
   const CostModel model(raspberry_pi_4());
   WorkloadSpec work;
-  EXPECT_THROW(model.predict_seconds(work, 0), InvalidArgument);
+  EXPECT_THROW((void)model.predict_seconds(work, 0), InvalidArgument);
   ClusterSpec broken = raspberry_pi_4();
   broken.node.core_gflops = 0.0;
   EXPECT_THROW(CostModel{broken}, InvalidArgument);

@@ -55,13 +55,13 @@ TEST(MultipleChoice, ValidatesConstruction) {
 }
 
 TEST(MultipleChoice, GradeRejectsOutOfRangeChoice) {
-  EXPECT_THROW(race_question().grade(std::size_t{9}), InvalidArgument);
+  EXPECT_THROW((void)race_question().grade(std::size_t{9}), InvalidArgument);
 }
 
 TEST(MultipleChoice, FeedbackPerChoice) {
   const auto q = race_question();
   EXPECT_EQ(q.feedback_for(2), "yes");
-  EXPECT_THROW(q.feedback_for(7), InvalidArgument);
+  EXPECT_THROW((void)q.feedback_for(7), InvalidArgument);
 }
 
 TEST(MultipleChoice, IsGradable) {

@@ -25,7 +25,7 @@ TEST(Lcs, IsSymmetricInItsArguments) {
 
 TEST(Lcs, BoundedByShorterString) {
   const std::string protein = "acgtacgtacgt";
-  for (const std::string& ligand : {"acg", "tttt", "gtca"}) {
+  for (const std::string ligand : {"acg", "tttt", "gtca"}) {
     EXPECT_LE(score(ligand, protein),
               static_cast<int>(std::min(ligand.size(), protein.size())));
   }
@@ -138,7 +138,9 @@ TEST(ScreenMasterWorker, MoreWorkersThanLigands) {
   const DrugResult serial = screen_serial(config);
   mp::run(6, [&](mp::Communicator& comm) {
     const DrugResult result = screen_master_worker(comm, config);
-    if (comm.rank() == 0) EXPECT_EQ(result, serial);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(result, serial);
+    }
   });
 }
 

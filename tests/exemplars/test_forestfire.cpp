@@ -78,8 +78,8 @@ TEST(FireSim, RenderShowsAllThreeStates) {
 
 TEST(FireSim, AtValidatesCoordinates) {
   FireSim sim(FireParams{9, 0.5, 1});
-  EXPECT_THROW(sim.at(-1, 0), InvalidArgument);
-  EXPECT_THROW(sim.at(0, 9), InvalidArgument);
+  EXPECT_THROW((void)sim.at(-1, 0), InvalidArgument);
+  EXPECT_THROW((void)sim.at(0, 9), InvalidArgument);
 }
 
 TEST(Sweep, DefaultProbabilitiesCoverTheUnitRange) {

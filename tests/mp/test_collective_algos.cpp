@@ -185,7 +185,9 @@ TEST(AlgoContract, LambdasReduceInRankOrder) {
       return a + b;
     };
     const std::string folded = comm.reduce(piece, concat, 0);
-    if (comm.rank() == 0) EXPECT_EQ(folded, "abcd");
+    if (comm.rank() == 0) {
+      EXPECT_EQ(folded, "abcd");
+    }
     std::string everywhere = comm.allreduce(piece, concat);
     EXPECT_EQ(everywhere, "abcd");
   });

@@ -61,7 +61,7 @@ TEST_P(CollectiveSizeTest, ScatterDeliversPerRankValue) {
   run(procs, [&](Communicator& comm) {
     std::vector<std::string> values;
     if (comm.rank() == 0) {
-      for (int r = 0; r < procs; ++r) values.push_back("v" + std::to_string(r));
+      for (int r = 0; r < procs; ++r) values.push_back('v' + std::to_string(r));
     }
     const std::string mine = comm.scatter(values, 0);
     EXPECT_EQ(mine, "v" + std::to_string(comm.rank()));
@@ -169,7 +169,9 @@ TEST(Collectives, NonRootBroadcastSourceIgnoresLocalValue) {
 TEST(Collectives, ReduceWithNonZeroRoot) {
   run(4, [&](Communicator& comm) {
     const int total = comm.reduce(1, ops::Sum{}, 2);
-    if (comm.rank() == 2) EXPECT_EQ(total, 4);
+    if (comm.rank() == 2) {
+      EXPECT_EQ(total, 4);
+    }
   });
 }
 
@@ -180,7 +182,9 @@ TEST(Collectives, ReduceCombinesInRankOrder) {
     const std::string combined = comm.reduce(
         std::string(1, static_cast<char>('a' + comm.rank())),
         [](const std::string& x, const std::string& y) { return x + y; }, 0);
-    if (comm.rank() == 0) EXPECT_EQ(combined, "abcd");
+    if (comm.rank() == 0) {
+      EXPECT_EQ(combined, "abcd");
+    }
   });
 }
 

@@ -96,7 +96,9 @@ TEST(Stress, LargeWorldBarrierAndReduce) {
     const int max =
         comm.reduce(comm.rank(), ops::Max{}, 0,
                     Communicator::CollectiveAlgo::Binomial);
-    if (comm.rank() == 0) EXPECT_EQ(max, 47);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(max, 47);
+    }
   });
 }
 

@@ -88,14 +88,14 @@ TEST(ShmTransport, CollectivesMatchLoopbackSemantics) {
             comm.print("total=" + std::to_string(total));
           }
           const std::vector<int> all = comm.allgather(local);
-          comm.print("r" + std::to_string(comm.rank()) + " sees " +
+          comm.print('r' + std::to_string(comm.rank()) + " sees " +
                      std::to_string(all.size()) + " partials");
         });
     ASSERT_TRUE(result.ok()) << result.errors[0];
     EXPECT_EQ(result.output[0][0], "total=78");
     for (int r = 0; r < 4; ++r) {
       EXPECT_EQ(result.output[static_cast<std::size_t>(r)].back(),
-                "r" + std::to_string(r) + " sees 4 partials");
+                'r' + std::to_string(r) + " sees 4 partials");
     }
   }));
 }
@@ -273,7 +273,7 @@ TEST(ShmTransport, ForcedTopologyRunsHierarchicalCollectives) {
           comm.bcast(text, 1);
           const int max_at_2 =
               comm.reduce(comm.rank() * 5, mp::ops::Max{}, 2);
-          comm.print("r" + std::to_string(comm.rank()) + " sum=" +
+          comm.print('r' + std::to_string(comm.rank()) + " sum=" +
                      std::to_string(sum_auto) + "/" +
                      std::to_string(sum_flat) + " text=" + text +
                      (comm.rank() == 2

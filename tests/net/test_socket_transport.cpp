@@ -77,14 +77,14 @@ TEST_P(SocketTransportTest, CollectivesMatchLoopbackSemantics) {
             comm.print("total=" + std::to_string(total));
           }
           const std::vector<int> all = comm.allgather(local);
-          comm.print("r" + std::to_string(comm.rank()) + " sees " +
+          comm.print('r' + std::to_string(comm.rank()) + " sees " +
                      std::to_string(all.size()) + " partials");
         });
     ASSERT_TRUE(result.ok());
     EXPECT_EQ(result.output[0][0], "total=78");  // 1+…+12
     for (int r = 0; r < 4; ++r) {
       EXPECT_EQ(result.output[static_cast<std::size_t>(r)].back(),
-                "r" + std::to_string(r) + " sees 4 partials");
+                'r' + std::to_string(r) + " sees 4 partials");
     }
   }));
 }
@@ -127,7 +127,7 @@ TEST_P(SocketTransportTest, DupAndSplitWorkAcrossProcessNamespaces) {
               comm.split(comm.rank() % 2, comm.rank());
           const int via_half = half.allreduce(
               comm.rank(), [](int a, int b) { return a + b; });
-          comm.print("r" + std::to_string(comm.rank()) + " dup=" +
+          comm.print('r' + std::to_string(comm.rank()) + " dup=" +
                      std::to_string(via_dup) + " half=" +
                      std::to_string(via_half));
         });

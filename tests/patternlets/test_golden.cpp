@@ -6,8 +6,7 @@
 // condition's lost-update count, the dynamic schedule's thread assignment).
 //
 // Regenerate after an intentional output change with:
-//   PDCLAB_GOLDEN_REGEN=1 ./build/tests/test_patternlets \
-//       --gtest_filter='*Golden*'
+//   PDCLAB_GOLDEN_REGEN=1 ./build/tests/test_patternlets --gtest_filter='*Golden*'
 
 #include <gtest/gtest.h>
 

@@ -64,7 +64,7 @@ TEST(Registry, DuplicateIdThrows) {
 
 TEST(Registry, AtThrowsForMissing) {
   Registry registry;
-  EXPECT_THROW(registry.at("missing"), NotFound);
+  EXPECT_THROW((void)registry.at("missing"), NotFound);
 }
 
 TEST(Registry, AllIsSortedById) {

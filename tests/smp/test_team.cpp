@@ -1,9 +1,12 @@
 #include "smp/team.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <type_traits>
 
@@ -219,14 +222,53 @@ TEST(Config, DefaultsAreSane) {
   set_default_num_threads(0);
 }
 
-TEST(Config, SpinLimitOverrideRoundTrips) {
-  const std::size_t resolved = spin_limit();  // env/hardware resolution
-  set_spin_limit(77);
-  EXPECT_EQ(spin_limit(), 77u);
-  set_spin_limit(0);  // "never spin" is a real setting, not the sentinel
-  EXPECT_EQ(spin_limit(), 0u);
-  set_spin_limit(kSpinAuto);
-  EXPECT_EQ(spin_limit(), resolved);
+/// Runs `child` in a forked child of a process whose worker cache holds
+/// parked threads, and expects the child to exit with status 0.
+template <typename Child>
+void expect_forked_child_succeeds(Child child) {
+  // The parent's cache now has three parked workers.
+  parallel(4, [](TeamContext& ctx) { ctx.barrier(); });
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(10);  // a member handed to an inherited slot would hang forever
+    child();
+    ::_exit(1);  // `child` must leave the process itself
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died of signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(WorkerCacheFork, ForkedChildRunsARegion) {
+#if defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer cannot start threads in the child of a multi-threaded
+  // process (die_after_fork); the regular and ASan builds cover this.
+  GTEST_SKIP() << "threads after a multi-threaded fork are unsupported "
+                  "under ThreadSanitizer";
+#endif
+  expect_forked_child_succeeds([] {
+    std::atomic<int> members{0};
+    try {
+      parallel(4, [&](TeamContext& ctx) {
+        ctx.barrier();
+        members.fetch_add(1);
+      });
+    } catch (...) {
+    }
+    ::_exit(members.load() == 4 ? 0 : 1);
+  });
+}
+
+TEST(WorkerCacheFork, ForkedChildExitsThroughStaticDestructors) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "threads after a multi-threaded fork are unsupported "
+                  "under ThreadSanitizer";
+#endif
+  // exit(), not _exit(): the child runs every static destructor, and none
+  // may wait for the parent's workers, which do not exist in the child.
+  expect_forked_child_succeeds([] { std::exit(0); });
 }
 
 }  // namespace
