@@ -23,7 +23,8 @@
 //
 // Mode: argv[2] "multiproc" serves the same replay through the shard pool
 // (ExecMode::Socket — every execution in a forked worker process) with a
-// chaos monkey SIGKILLing a live worker every few ms the whole run. The
+// chaos monkey SIGKILLing a live worker every 50 ms the whole run, each
+// kill after the fleet answered one more job since the last. The
 // zero-lost-jobs gate still applies: crash recovery (reap + respawn +
 // redispatch) must be invisible to the student terminals. Machine line:
 //   LAB_LOAD_MULTIPROC ... respawns=R kills=K lost=0
@@ -36,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -125,30 +127,40 @@ RowResult drive(int workers, int sessions, int concurrency, bool multiproc) {
     config.exec_mode = pdc::lab::ExecMode::Socket;
     config.shard.worker_bin = PDCLAB_BENCH_WORKER_BIN;
     config.shard.heartbeat_ms = 50;
-    // The monkey kills round-robin on a fixed cadence; a loaded one-core
-    // machine can stall a respawn past the cadence and land several kills
-    // on one job's attempts, so give the redispatch budget real headroom —
-    // the gate is zero LOST jobs, not a kill-free run.
+    // The monkey kills again only after the fleet answered another job, so
+    // with one worker a job meets at most one kill. With more, the other
+    // workers' answers can bring the monkey back to a slow job's slot; the
+    // budget's headroom covers that. The gate is zero LOST jobs, not a
+    // kill-free run.
     config.shard.max_attempts = 10;
   }
   Server server(std::move(config));
   server.start();
 
-  // The chaos monkey: SIGKILL a live worker process round-robin every few
-  // ms for the whole run. Recovery (reap + respawn + redispatch) must keep
-  // the zero-lost-jobs gate green.
+  // The chaos monkey: SIGKILL a live worker process round-robin every
+  // 50 ms for the whole run, but only once the fleet has answered another
+  // job since the last kill. A fixed cadence alone let a loaded host stretch
+  // one job past ten kills, which is the attempt budget, not a lost-job bug.
+  // Recovery (reap + respawn + redispatch) must keep the zero-lost-jobs
+  // gate green.
   std::atomic<bool> monkey_stop{false};
   std::atomic<std::uint64_t> kills{0};
+  std::atomic<std::uint64_t> executed_answers{0};  ///< non-cached Results
   std::thread monkey;
   if (multiproc) {
     monkey = std::thread([&, workers] {
       int slot = 0;
+      std::optional<std::uint64_t> answers_at_kill;
       while (!monkey_stop.load(std::memory_order_relaxed)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        const std::uint64_t answers =
+            executed_answers.load(std::memory_order_relaxed);
+        if (answers_at_kill == answers) continue;
         const pid_t victim = server.shard_pool()->slot_pid(slot);
         slot = (slot + 1) % workers;
         if (victim > 0 && ::kill(victim, SIGKILL) == 0) {
           kills.fetch_add(1, std::memory_order_relaxed);
+          answers_at_kill = answers;
         }
       }
     });
@@ -185,6 +197,9 @@ RowResult drive(int workers, int sessions, int concurrency, bool multiproc) {
             }
             const protocol::Result result =
                 client.wait_result(outcome.accept->job_id);
+            if (!result.cached) {
+              executed_answers.fetch_add(1, std::memory_order_relaxed);
+            }
             const double us =
                 std::chrono::duration<double, std::micro>(
                     std::chrono::steady_clock::now() - start)
@@ -312,8 +327,9 @@ int main(int argc, char** argv) {
   std::puts("");
   std::puts(multiproc
                 ? "every execution ran in a forked worker process while the "
-                  "monkey SIGKILLed a worker every 50 ms; reap + respawn + "
-                  "redispatch kept every accepted job terminal."
+                  "monkey SIGKILLed a worker every 50 ms (once another job was "
+                  "answered); reap + respawn + redispatch kept every accepted "
+                  "job terminal."
                 : "every session is a fresh connection; identical submissions "
                   "(the assigned seeds) are served from the LRU result cache "
                   "without touching the worker fleet.");

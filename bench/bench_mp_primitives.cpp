@@ -64,7 +64,9 @@ void BM_JobLaunch(benchmark::State& state) {
     mp::run(procs, [](mp::Communicator&) {});
   }
 }
-BENCHMARK(BM_JobLaunch)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_JobLaunch)->Arg(2)->Arg(4)->Arg(8)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_PingPong(benchmark::State& state) {
   const int rounds = static_cast<int>(state.range(0));
@@ -83,7 +85,9 @@ void BM_PingPong(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * rounds);
 }
-BENCHMARK(BM_PingPong)->Arg(100);
+BENCHMARK(BM_PingPong)->Arg(100)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_LargePayloadSend(benchmark::State& state) {
   const auto bytes = static_cast<std::size_t>(state.range(0));
@@ -122,7 +126,9 @@ void BM_Allreduce(benchmark::State& state) {
     });
   }
 }
-BENCHMARK(BM_Allreduce)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_Allreduce)->Arg(2)->Arg(4)->Arg(8)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 void BM_Barrier(benchmark::State& state) {
   const int rounds = static_cast<int>(state.range(0));
@@ -269,7 +275,9 @@ void BM_PiRank(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * darts);
 }
-BENCHMARK(BM_PiRank)->Arg(1)->Arg(2)->Arg(4);
+BENCHMARK(BM_PiRank)->Arg(1)->Arg(2)->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "chaos/chaos.hpp"
+#include "support/wait.hpp"
 #include "trace/trace.hpp"
 
 namespace pdc::mp {
@@ -66,10 +67,11 @@ void Mailbox::deliver(Envelope envelope) {
     comm.by_source[source].push_back(Item{std::move(envelope), seq});
     ++comm.pending;
     ++queued_;
+    arrivals_.fetch_add(1, std::memory_order_release);
   }
-  arrived_.notify_all();
+  wake_waiters();
   // Receivers blocked through a transport progress engine sleep on its
-  // doorbell, not on arrived_; every delivery must ring it too (this covers
+  // doorbell, not on arrivals_; every delivery must ring it too (this covers
   // socket-reader deliveries and self-sends in mixed shm+socket mode).
   if (ProgressEngine* engine = progress_.load(std::memory_order_acquire)) {
     engine->kick();
@@ -145,8 +147,8 @@ std::optional<Envelope> Mailbox::await_match(
     std::uint64_t comm_id, int source, int tag, Claim claim,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
   // With a progress engine installed the blocked receiver must keep pumping
-  // the transport, so the wait is a scan → engine->wait loop instead of a
-  // condition-variable predicate. Lost-wakeup safety: the epoch is sampled
+  // the transport, so the wait is a scan → engine->wait loop instead of the
+  // shared wait on arrivals_. Lost-wakeup safety: the epoch is sampled
   // while still holding the lock (deliver needs the same lock, so nothing
   // can slip between the failed scan and the sample), and every deliver
   // kicks the engine after enqueueing — engine->wait(seen) returns as soon
@@ -173,10 +175,21 @@ std::optional<Envelope> Mailbox::await_match(
     }
     ProgressEngine* engine = progress_.load(std::memory_order_acquire);
     if (!engine) {
-      if (deadline) {
-        arrived_.wait_until(lock, *deadline);
+      // Sampled under the lock, like the engine's epoch: whatever could
+      // satisfy this scan bumps the word under the same lock, so it moves
+      // after this read and the wait below cannot sleep through it.
+      const std::uint32_t seen = arrivals_.load(std::memory_order_relaxed);
+      const auto moved = [&] {
+        return arrivals_.load(std::memory_order_acquire) != seen;
+      };
+      lock.unlock();
+      if (!deadline) {
+        wait_until(arrivals_, moved);
+        lock.lock();
       } else {
-        arrived_.wait(lock);
+        const bool early = spin_then_yield(moved);
+        lock.lock();
+        if (!early) arrived_.wait_until(lock, *deadline, moved);
       }
       continue;
     }
@@ -247,8 +260,9 @@ void Mailbox::abort() {
   {
     std::lock_guard lock(mutex_);
     aborted_ = true;
+    arrivals_.fetch_add(1, std::memory_order_release);
   }
-  arrived_.notify_all();
+  wake_waiters();
   if (ProgressEngine* engine = progress_.load(std::memory_order_acquire)) {
     engine->kick();
   }
@@ -256,8 +270,17 @@ void Mailbox::abort() {
 
 void Mailbox::set_progress(ProgressEngine* engine) noexcept {
   progress_.store(engine, std::memory_order_release);
-  // Anyone parked on arrived_ across the transition re-evaluates and picks
-  // up the new wait protocol.
+  // Anyone waiting on arrivals_ across the transition re-evaluates and
+  // picks up the new wait protocol.
+  {
+    std::lock_guard lock(mutex_);
+    arrivals_.fetch_add(1, std::memory_order_release);
+  }
+  wake_waiters();
+}
+
+void Mailbox::wake_waiters() noexcept {
+  arrivals_.notify_all();
   arrived_.notify_all();
 }
 

@@ -10,10 +10,11 @@ namespace pdc {
 
 /// The one wait policy of the in-process runtimes. Every rendezvous and
 /// join in `smp` (barrier, fork-join latch, parked workers, slot-ring
-/// recycling) and `mp` (the job latch) waits the same way:
+/// recycling) and `mp` (the job latch, and a blocking `Mailbox` receive or
+/// probe with no transport progress engine) waits the same way:
 ///
 ///   1. spin with a CPU pause for a fixed *time* window (spin_window()),
-///      yielding the CPU between its four quarters,
+///      yielding the CPU before each of its four quarters,
 ///   2. yield the CPU 16 times (a 16-thread teaching example on a 1-core
 ///      container must let the thread it waits for run),
 ///   3. sleep on a futex (`std::atomic::wait`) until the word changes.
@@ -25,10 +26,12 @@ namespace pdc {
 /// run on one CPU only (a 1-core VM, or `taskset -c 0`), the window is 0:
 /// spinning there only keeps the awaited thread off the CPU it needs.
 ///
-/// The one exception is mp's rank crew: a parked crew thread sleeps on its
-/// slot's epoch word with no spin at all, so a lab server's idle gaps
-/// between jobs cost no CPU. It waits on the next job, not on a sibling
-/// that is about to arrive.
+/// Waits for the next piece of work, rather than for a sibling that is
+/// about to arrive, do not spin: mp's parked crew (a bare futex wait on its
+/// slot's epoch word), the lab's `FairQueue::pop` and `smp::ThreadPool`'s
+/// workers (condition variables). In a lab server their gap is a client
+/// round trip, longer than the window, so a spin would be paid in full and
+/// would rarely catch the next job; idle gaps must cost no CPU.
 
 /// One iteration of polite spinning (a pause on x86, plain no-op elsewhere).
 inline void cpu_relax() noexcept {
@@ -54,12 +57,13 @@ template <typename Ready>
 bool spin_then_yield(Ready&& ready) {
   if (ready()) return true;
   if (const auto window = spin_window(); window.count() > 0) {
-    // The window is spun in four slices with a yield between them: the
-    // scheduler may have queued the awaited thread on this very CPU, and
-    // it then runs after one slice, not after the whole window.
+    // The window is spun in four slices, each after a yield: the scheduler
+    // may have queued the awaited thread on this very CPU (a thread woken
+    // by this one may land here), and it then runs at once instead of
+    // after a slice. With nothing else queued a yield returns at once.
     constexpr int kSlices = 4;
     for (int slice = 0; slice < kSlices; ++slice) {
-      if (slice != 0) std::this_thread::yield();
+      std::this_thread::yield();
       // Read the clock every few pauses: a clock read costs about as much
       // as a pause, and the slice needs no finer grain.
       const auto end = std::chrono::steady_clock::now() + window / kSlices;
