@@ -69,9 +69,9 @@ void Mailbox::deliver(Envelope envelope) {
     ++queued_;
     arrivals_.fetch_add(1, std::memory_order_release);
   }
-  wake_waiters();
+  arrived_.notify_all();
   // Receivers blocked through a transport progress engine sleep on its
-  // doorbell, not on arrivals_; every delivery must ring it too (this covers
+  // doorbell, not on arrived_; every delivery must ring it too (this covers
   // socket-reader deliveries and self-sends in mixed shm+socket mode).
   if (ProgressEngine* engine = progress_.load(std::memory_order_acquire)) {
     engine->kick();
@@ -147,12 +147,12 @@ std::optional<Envelope> Mailbox::await_match(
     std::uint64_t comm_id, int source, int tag, Claim claim,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
   // With a progress engine installed the blocked receiver must keep pumping
-  // the transport, so the wait is a scan → engine->wait loop instead of the
-  // shared wait on arrivals_. Lost-wakeup safety: the epoch is sampled
-  // while still holding the lock (deliver needs the same lock, so nothing
-  // can slip between the failed scan and the sample), and every deliver
-  // kicks the engine after enqueueing — engine->wait(seen) returns as soon
-  // as the epoch moves past `seen`.
+  // the transport, so the wait is a scan → engine->wait loop instead of a
+  // spin on arrivals_ and a sleep on arrived_. Lost-wakeup safety: the
+  // epoch is sampled while still holding the lock (deliver needs the same
+  // lock, so nothing can slip between the failed scan and the sample), and
+  // every deliver kicks the engine after enqueueing — engine->wait(seen)
+  // returns as soon as the epoch moves past `seen`.
   std::unique_lock lock(mutex_);
   for (;;) {
     if (aborted_) throw Aborted{};
@@ -177,19 +177,21 @@ std::optional<Envelope> Mailbox::await_match(
     if (!engine) {
       // Sampled under the lock, like the engine's epoch: whatever could
       // satisfy this scan bumps the word under the same lock, so it moves
-      // after this read and the wait below cannot sleep through it.
+      // after this read. Neither the spin nor the sleep on arrived_ (whose
+      // predicate is checked under the lock) can miss it.
       const std::uint32_t seen = arrivals_.load(std::memory_order_relaxed);
       const auto moved = [&] {
         return arrivals_.load(std::memory_order_acquire) != seen;
       };
       lock.unlock();
-      if (!deadline) {
-        wait_until(arrivals_, moved);
-        lock.lock();
-      } else {
-        const bool early = spin_then_yield(moved);
-        lock.lock();
-        if (!early) arrived_.wait_until(lock, *deadline, moved);
+      const bool early = spin_then_yield(moved);
+      lock.lock();
+      if (!early) {
+        if (deadline) {
+          arrived_.wait_until(lock, *deadline, moved);
+        } else {
+          arrived_.wait(lock, moved);
+        }
       }
       continue;
     }
@@ -262,7 +264,7 @@ void Mailbox::abort() {
     aborted_ = true;
     arrivals_.fetch_add(1, std::memory_order_release);
   }
-  wake_waiters();
+  arrived_.notify_all();
   if (ProgressEngine* engine = progress_.load(std::memory_order_acquire)) {
     engine->kick();
   }
@@ -270,17 +272,12 @@ void Mailbox::abort() {
 
 void Mailbox::set_progress(ProgressEngine* engine) noexcept {
   progress_.store(engine, std::memory_order_release);
-  // Anyone waiting on arrivals_ across the transition re-evaluates and
-  // picks up the new wait protocol.
+  // Anyone waiting across the transition sees arrivals_ move, re-evaluates
+  // and picks up the new wait protocol.
   {
     std::lock_guard lock(mutex_);
     arrivals_.fetch_add(1, std::memory_order_release);
   }
-  wake_waiters();
-}
-
-void Mailbox::wake_waiters() noexcept {
-  arrivals_.notify_all();
   arrived_.notify_all();
 }
 

@@ -165,11 +165,12 @@ class Mailbox {
 
   /// The one blocking loop behind receive, receive_for and probe: scan for
   /// a (source, tag) match on `comm_id`, and while none is queued wait for a
-  /// delivery — on arrivals_ by the shared wait policy (support/wait.hpp),
-  /// or through the progress engine when one is installed. Take removes and
-  /// returns the match (recording its trace counters); Peek returns a copy
-  /// that shares the queued payload. Returns nullopt once `deadline` passes;
-  /// throws Aborted after abort().
+  /// delivery: spin and yield by the shared wait policy (support/wait.hpp)
+  /// until arrivals_ moves, then sleep on arrived_; or, when a progress
+  /// engine is installed, through the engine. Take removes and returns the
+  /// match (recording its trace counters); Peek returns a copy that shares
+  /// the queued payload. Returns nullopt once `deadline` passes; throws
+  /// Aborted after abort().
   std::optional<Envelope> await_match(
       std::uint64_t comm_id, int source, int tag, Claim claim,
       std::optional<std::chrono::steady_clock::time_point> deadline);
@@ -179,17 +180,14 @@ class Mailbox {
   /// mutex_.
   static void record_match(const Envelope& envelope, std::size_t scanned);
 
-  /// Wake every receiver waiting on arrivals_ (or, timed, on arrived_).
-  /// Called after bumping arrivals_ under mutex_, with mutex_ released.
-  void wake_waiters() noexcept;
-
   mutable std::mutex mutex_;
-  /// Bumped under mutex_ by every deliver, abort and set_progress, and
-  /// notified after the unlock: a receiver with no engine samples it under
-  /// the lock, then spins, yields and sleeps until it moves.
+  /// Bumped under mutex_ by every deliver, abort and set_progress: a
+  /// receiver with no engine samples it under the lock, then spins and
+  /// yields until it moves, so it can watch for a delivery without the lock.
   std::atomic<std::uint32_t> arrivals_{0};
-  /// A receive_for past its spin sleeps here instead: std::atomic::wait has
-  /// no timed form.
+  /// Notified after each bump of arrivals_, with mutex_ released. A
+  /// receiver whose spin ran out sleeps here until arrivals_ moves (or its
+  /// receive_for deadline passes).
   std::condition_variable arrived_;
   std::unordered_map<std::uint64_t, CommQueue> comms_;
   std::size_t queued_ = 0;  ///< total envelopes across all communicators

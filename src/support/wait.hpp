@@ -11,7 +11,9 @@ namespace pdc {
 /// The one wait policy of the in-process runtimes. Every rendezvous and
 /// join in `smp` (barrier, fork-join latch, parked workers, slot-ring
 /// recycling) and `mp` (the job latch, and a blocking `Mailbox` receive or
-/// probe with no transport progress engine) waits the same way:
+/// probe with no transport progress engine) waits the same way (a `Mailbox`
+/// runs phases 1 and 2 here, then sleeps on its condition variable, which
+/// its timed receive needs anyway):
 ///
 ///   1. spin with a CPU pause for a fixed *time* window (spin_window()),
 ///      yielding the CPU before each of its four quarters,
