@@ -15,13 +15,14 @@
 #                  correctness gates tripped on purpose)
 # 4. bench-smoke — scripts/bench_snapshot: the bench binaries in a
 #                  1-rep/2-round configuration (ctest -L bench-smoke) as a
-#                  crash/hang canary, then six representative probes
-#                  (mailbox match cost, fork-join overhead, the four-way
-#                  transport ping ablation incl. shm rings plus the np=8
-#                  hierarchical collective ablation, lab jobs/sec both
-#                  inline and through the forked shard pool under the
-#                  worker-kill monkey, grader submissions/sec) distilled
-#                  into BENCH_<n>.json — trend data, not a measurement
+#                  crash/hang canary (the lab-load, multiproc and store
+#                  smokes keep their zero-lost and warm-up gates), then four
+#                  representative probes (mailbox match cost, fork-join
+#                  overhead, the four-way transport ping ablation incl. shm
+#                  rings plus the np=8 hierarchical collective ablation,
+#                  grader submissions/sec) distilled into
+#                  <build-dir>/BENCH_<n>.json — trend data, not a
+#                  measurement; the tracked tree is left untouched
 # 5. tsan        — ThreadSanitizer build, concurrency suites (ctest -L tsan),
 #                  which include the smp team poison/abort regression tests,
 #                  the in-process socket-cluster suites (test_net carries the

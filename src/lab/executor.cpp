@@ -160,7 +160,7 @@ void Executor::validate(const Submit& submit) const {
     (void)grade_config(submit);
     return;
   }
-  if (submit.np < 1 || submit.np > config_.max_np) {
+  if (submit.np > config_.max_np) {
     throw InvalidArgument("lab: np " + std::to_string(submit.np) +
                           " out of range [1, " +
                           std::to_string(config_.max_np) + "]");

@@ -150,6 +150,22 @@ void fit_result(Result& result) {
                   std::to_string(kMaxLineBytes) + " bytes]");
 }
 
+Result cancelled_result(std::uint64_t job_id) {
+  Result result;
+  result.job_id = job_id;
+  result.exit_code = 130;
+  result.error = "cancelled by tenant";
+  return result;
+}
+
+Result shutdown_result(std::uint64_t job_id) {
+  Result result;
+  result.job_id = job_id;
+  result.exit_code = 3;
+  result.error = "lab server shutting down";
+  return result;
+}
+
 std::uint64_t digest(const Submit& submit) noexcept {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
   const auto mix = [&h](const void* data, std::size_t n) noexcept {

@@ -215,6 +215,14 @@ std::size_t lines_that_fit(std::span<const std::string> lines,
 /// `error` is cut to kMaxReasonBytes.
 void fit_result(Result& result);
 
+/// The terminal Result of a job withdrawn by its tenant's Cancel, queued or
+/// running: exit 130 (the interrupted-job convention), "cancelled by tenant".
+Result cancelled_result(std::uint64_t job_id);
+
+/// The terminal Result of a job still queued when the server stops: exit 3,
+/// "lab server shutting down".
+Result shutdown_result(std::uint64_t job_id);
+
 /// Content digest of a submission: everything that determines the job's
 /// output (kind, name, np, seed, source) and nothing that doesn't (token,
 /// tenant) — so two students running the same patternlet share one cached

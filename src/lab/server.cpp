@@ -69,10 +69,20 @@ store::ResultRecord to_record(std::uint64_t digest,
   record.error = result.error;
   return record;
 }
+
+/// The server's counters are plain ServerStats fields that several threads
+/// update: every access is a relaxed atomic_ref.
+void bump(std::uint64_t& counter, std::uint64_t n = 1) {
+  std::atomic_ref(counter).fetch_add(n, std::memory_order_relaxed);
+}
+
+std::uint64_t counter_value(std::uint64_t& counter) {
+  return std::atomic_ref(counter).load(std::memory_order_relaxed);
+}
 }  // namespace
 
 Server::Session::Session(net::Socket accepted, int epoll_fd,
-                         std::atomic<std::uint64_t>& lost_results)
+                         std::uint64_t& lost_results)
     : socket(std::move(accepted)),
       epoll_fd_(epoll_fd),
       lost_results_(lost_results),
@@ -188,7 +198,7 @@ void Server::Session::watch_locked() {
 
 void Server::Session::drop_locked() {
   open_ = false;
-  lost_results_.fetch_add(result_ends_.size(), std::memory_order_relaxed);
+  bump(lost_results_, result_ends_.size());
   result_ends_.clear();
   mp::Bytes().swap(outbox_);
   outbox_begin_ = 0;
@@ -309,12 +319,7 @@ void Server::stop() {
   // refused at the closed queue with a Shutdown reject.
   queue_.close();
   for (Job& job : queue_.drain()) {
-    Result result;
-    result.job_id = job.id;
-    result.exit_code = 3;
-    result.error = "lab server shutting down";
-    set_job_state(job.id, JobState::Done);
-    if (job.deliver) job.deliver(result);
+    job.deliver(protocol::shutdown_result(job.id));
   }
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -350,17 +355,17 @@ net::Endpoint Server::endpoint() const { return bound_; }
 
 ServerStats Server::stats() const {
   ServerStats out;
-  out.submits = stats_.submits.load();
-  out.accepted = stats_.accepted.load();
-  out.rejected = stats_.rejected.load();
-  out.completed = stats_.completed.load();
-  out.failed = stats_.failed.load();
-  out.cache_hits = stats_.cache_hits.load();
+  out.submits = counter_value(stats_.submits);
+  out.accepted = counter_value(stats_.accepted);
+  out.rejected = counter_value(stats_.rejected);
+  out.completed = counter_value(stats_.completed);
+  out.failed = counter_value(stats_.failed);
+  out.cache_hits = counter_value(stats_.cache_hits);
   out.executed = executor_.executions() + (pool_ ? pool_->executions() : 0);
-  out.lockouts = stats_.lockouts.load();
-  out.lost_results = stats_.lost_results.load();
-  out.sessions = stats_.sessions.load();
-  out.cancelled = stats_.cancelled.load();
+  out.lockouts = counter_value(stats_.lockouts);
+  out.lost_results = counter_value(stats_.lost_results);
+  out.sessions = counter_value(stats_.sessions);
+  out.cancelled = counter_value(stats_.cancelled);
   out.worker_respawns = pool_ ? pool_->respawns() : 0;
   out.warmed_results = warmed_;
   out.queue_depth = queue_.depth();
@@ -442,7 +447,7 @@ void Server::accept_one(
   event.data.fd = fd;
   if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &event) != 0) return;
   sessions.emplace(fd, std::move(session));
-  stats_.sessions.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.sessions);
   trace::Counter("lab.sessions").add(1.0);
 }
 
@@ -479,7 +484,7 @@ bool Server::dispatch(const std::shared_ptr<Session>& session,
                       const wire::Header& header, const mp::Bytes& body) {
   switch (header.kind) {
     case wire::FrameKind::Submit: {
-      stats_.submits.fetch_add(1, std::memory_order_relaxed);
+      bump(stats_.submits);
       trace::Counter("lab.submits").add(1.0);
       admit(session, protocol::decode_submit(body));
       return true;
@@ -516,32 +521,10 @@ void Server::admit(const std::shared_ptr<Session>& session, Submit submit) {
   } catch (const chaos::InjectedAbort& abort) {
     return reject(session, RejectCode::Overloaded, abort.what());
   }
-  if (submit.tenant.empty()) {
-    return reject(session, RejectCode::BadRequest,
-                  "submit carries no tenant id");
-  }
-
-  // Auth + the eager-beaver firewall, keyed by tenant. A blocked tenant is
-  // refused even with the right token (what made the paper's incident
-  // confusing); wrong tokens accumulate toward the lockout.
-  {
-    std::lock_guard lock(firewall_mutex_);
-    const double now = now_minutes();
-    if (firewall_.is_blocked(submit.tenant, now)) {
-      return reject(session, RejectCode::LockedOut,
-                    "tenant is locked out (the VNC-firewall incident; wait "
-                    "for the block to lapse or ask staff to unblock)");
-    }
-    if (submit.token != config_.token) {
-      if (firewall_.record_failure(submit.tenant, now)) {
-        stats_.lockouts.fetch_add(1, std::memory_order_relaxed);
-        trace::instant("lab.lockout", "lab");
-        return reject(session, RejectCode::LockedOut,
-                      "too many bad tokens; tenant locked out");
-      }
-      return reject(session, RejectCode::BadToken, "wrong auth token");
-    }
-    firewall_.record_success(submit.tenant);
+  if (!authorize(session, "submit", submit.tenant, submit.token,
+                 "tenant is locked out (the VNC-firewall incident; wait "
+                 "for the block to lapse or ask staff to unblock)")) {
+    return;
   }
 
   try {
@@ -562,9 +545,9 @@ void Server::admit(const std::shared_ptr<Session>& session, Submit submit) {
       std::lock_guard lock(jobs_mutex_);
       job_states_[job_id] = JobRecord{JobState::Done, submit.tenant};
     }
-    stats_.accepted.fetch_add(1, std::memory_order_relaxed);
-    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    stats_.completed.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.accepted);
+    bump(stats_.cache_hits);
+    bump(stats_.completed);
     trace::Counter("lab.cache_hits").add(1.0);
     // Same acked ⇒ durable rule as an executed job: the journal upsert
     // (idempotent for an exact re-submission) lands before the frames.
@@ -614,7 +597,7 @@ void Server::admit(const std::shared_ptr<Session>& session, Submit submit) {
                   shutting_down ? "lab server shutting down"
                                 : "tenant queue quota exhausted");
   }
-  stats_.accepted.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.accepted);
   trace::Counter("lab.queue_depth").add(1.0);
   protocol::Accept accept;
   accept.job_id = job_id;
@@ -625,30 +608,8 @@ void Server::admit(const std::shared_ptr<Session>& session, Submit submit) {
 void Server::handle_cancel(const std::shared_ptr<Session>& session,
                            const protocol::Cancel& cancel) {
   trace::Span span("lab.cancel", "lab");
-  if (cancel.tenant.empty()) {
-    return reject(session, RejectCode::BadRequest,
-                  "cancel carries no tenant id");
-  }
-
-  // The same auth + firewall wall as admission: Cancel is a door a hostile
-  // client can knock on too, and wrong tokens count toward the lockout.
-  {
-    std::lock_guard lock(firewall_mutex_);
-    const double now = now_minutes();
-    if (firewall_.is_blocked(cancel.tenant, now)) {
-      return reject(session, RejectCode::LockedOut, "tenant is locked out");
-    }
-    if (cancel.token != config_.token) {
-      if (firewall_.record_failure(cancel.tenant, now)) {
-        stats_.lockouts.fetch_add(1, std::memory_order_relaxed);
-        trace::instant("lab.lockout", "lab");
-        return reject(session, RejectCode::LockedOut,
-                      "too many bad tokens; tenant locked out");
-      }
-      return reject(session, RejectCode::BadToken, "wrong auth token");
-    }
-    firewall_.record_success(cancel.tenant);
-  }
+  // Cancel is a door a hostile client can knock on too.
+  if (!authorize(session, "cancel", cancel.tenant, cancel.token)) return;
 
   JobState state = JobState::Unknown;
   {
@@ -672,7 +633,7 @@ void Server::handle_cancel(const std::shared_ptr<Session>& session,
   }
 
   const auto ack = [this, &session, &cancel] {
-    stats_.cancelled.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.cancelled);
     trace::Counter("lab.cancelled").add(1.0);
     protocol::Status frame;
     frame.job_id = cancel.job_id;
@@ -685,15 +646,7 @@ void Server::handle_cancel(const std::shared_ptr<Session>& session,
   // tag rewinds) and deliver the terminal Result the Accept promised.
   if (auto removed = queue_.remove(cancel.job_id)) {
     trace::Counter("lab.queue_depth").add(-1.0);
-    Result result;
-    result.job_id = cancel.job_id;
-    result.exit_code = 130;  // the interrupted-job convention
-    result.error = "cancelled by tenant";
-    if (removed->deliver) {
-      removed->deliver(result);
-    } else {
-      set_job_state(cancel.job_id, JobState::Done);
-    }
+    removed->deliver(protocol::cancelled_result(cancel.job_id));
     return ack();
   }
 
@@ -712,7 +665,7 @@ void Server::handle_cancel(const std::shared_ptr<Session>& session,
 
 void Server::reject(const std::shared_ptr<Session>& session, RejectCode code,
                     const std::string& reason) {
-  stats_.rejected.fetch_add(1, std::memory_order_relaxed);
+  bump(stats_.rejected);
   trace::Counter("lab.rejects").add(1.0);
   protocol::Reject frame;
   frame.code = code;
@@ -741,7 +694,7 @@ void Server::worker_loop(int worker_index) {
       result.error = abort.what();
     }
     result.job_id = job->id;
-    if (job->deliver) job->deliver(result);
+    job->deliver(result);
   }
 }
 
@@ -752,9 +705,9 @@ void Server::finish_job(const std::shared_ptr<Session>& session,
     // Only clean runs become golden outputs; a chaos-aborted or failed run
     // must re-execute next time, never haunt the cache.
     cache_.insert(digest, result);
-    stats_.completed.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.completed);
   } else {
-    stats_.failed.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.failed);
   }
   set_job_state(job_id, JobState::Done);
   trace::Counter("lab.results").add(1.0);
@@ -765,7 +718,7 @@ void Server::finish_job(const std::shared_ptr<Session>& session,
   journal(digest, submit, result);
   if (!session->send(protocol::encode_result(result),
                      /*ends_in_result=*/true)) {
-    stats_.lost_results.fetch_add(1, std::memory_order_relaxed);
+    bump(stats_.lost_results);
   }
 }
 
@@ -795,29 +748,8 @@ void Server::handle_report(const std::shared_ptr<Session>& session,
   if (query.role != protocol::ReportRole::Query) {
     throw net::ProtocolError("lab server: non-query Report frame from client");
   }
-  if (query.tenant.empty()) {
-    return reject(session, RejectCode::BadRequest,
-                  "report carries no tenant id");
-  }
-  // Same auth wall as admission: reports leak a whole class's aggregate
-  // state, so bad tokens count toward the same lockout.
-  {
-    std::lock_guard lock(firewall_mutex_);
-    const double now = now_minutes();
-    if (firewall_.is_blocked(query.tenant, now)) {
-      return reject(session, RejectCode::LockedOut, "tenant is locked out");
-    }
-    if (query.token != config_.token) {
-      if (firewall_.record_failure(query.tenant, now)) {
-        stats_.lockouts.fetch_add(1, std::memory_order_relaxed);
-        trace::instant("lab.lockout", "lab");
-        return reject(session, RejectCode::LockedOut,
-                      "too many bad tokens; tenant locked out");
-      }
-      return reject(session, RejectCode::BadToken, "wrong auth token");
-    }
-    firewall_.record_success(query.tenant);
-  }
+  // Reports leak a whole class's aggregate state.
+  if (!authorize(session, "report", query.tenant, query.token)) return;
   if (!store_) {
     return reject(session, RejectCode::BadRequest,
                   "this lab server runs without a store (no --store dir)");
@@ -842,6 +774,35 @@ void Server::handle_report(const std::shared_ptr<Session>& session,
   protocol::Report end;
   end.role = protocol::ReportRole::End;
   session->send(protocol::encode_report(end));
+}
+
+bool Server::authorize(const std::shared_ptr<Session>& session,
+                       const char* verb, const std::string& tenant,
+                       const std::string& token, const char* locked_reason) {
+  if (tenant.empty()) {
+    reject(session, RejectCode::BadRequest,
+           std::string(verb) + " carries no tenant id");
+    return false;
+  }
+  std::lock_guard lock(firewall_mutex_);
+  const double now = now_minutes();
+  if (firewall_.is_blocked(tenant, now)) {
+    reject(session, RejectCode::LockedOut, locked_reason);
+    return false;
+  }
+  if (token != config_.token) {
+    if (firewall_.record_failure(tenant, now)) {
+      bump(stats_.lockouts);
+      trace::instant("lab.lockout", "lab");
+      reject(session, RejectCode::LockedOut,
+             "too many bad tokens; tenant locked out");
+    } else {
+      reject(session, RejectCode::BadToken, "wrong auth token");
+    }
+    return false;
+  }
+  firewall_.record_success(tenant);
+  return true;
 }
 
 void Server::set_job_state(std::uint64_t job_id, JobState state) {

@@ -160,8 +160,7 @@ class Server {
   /// reader reads, flushes on EPOLLOUT, and closes.
   class Session {
    public:
-    Session(net::Socket socket, int epoll_fd,
-            std::atomic<std::uint64_t>& lost_results);
+    Session(net::Socket socket, int epoll_fd, std::uint64_t& lost_results);
 
     /// Queue one or more whole frames for the client without blocking: a
     /// non-blocking send, and what the socket does not take waits in the
@@ -200,7 +199,7 @@ class Server {
     void drop_locked();
 
     const int epoll_fd_;
-    std::atomic<std::uint64_t>& lost_results_;
+    std::uint64_t& lost_results_;  ///< the server's counter (atomic_ref)
     std::mutex mutex_;
     bool open_ = true;
     bool reading_ = true;  ///< written by the reader, under mutex_
@@ -236,6 +235,15 @@ class Server {
   /// Report query: auth, then stream one Cohort frame per cohort + End.
   void handle_report(const std::shared_ptr<Session>& session,
                      const protocol::Report& query);
+  /// The wall every client verb (`verb`: "submit", "cancel", "report")
+  /// passes: a tenant id, then token auth against the eager-beaver
+  /// firewall, keyed by tenant. A blocked tenant is refused with
+  /// `locked_reason` even with the right token; wrong tokens from any verb
+  /// count toward one lockout, and the right token clears the count.
+  /// Returns whether the caller may go on; otherwise the Reject is sent.
+  bool authorize(const std::shared_ptr<Session>& session, const char* verb,
+                 const std::string& tenant, const std::string& token,
+                 const char* locked_reason = "tenant is locked out");
   void reject(const std::shared_ptr<Session>& session, protocol::RejectCode code,
               const std::string& reason);
   void finish_job(const std::shared_ptr<Session>& session, std::uint64_t job_id,
@@ -289,19 +297,9 @@ class Server {
   mutable std::mutex jobs_mutex_;
   std::unordered_map<std::uint64_t, JobRecord> job_states_;
 
-  struct AtomicStats {
-    std::atomic<std::uint64_t> submits{0};
-    std::atomic<std::uint64_t> accepted{0};
-    std::atomic<std::uint64_t> rejected{0};
-    std::atomic<std::uint64_t> completed{0};
-    std::atomic<std::uint64_t> failed{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> lockouts{0};
-    std::atomic<std::uint64_t> lost_results{0};
-    std::atomic<std::uint64_t> sessions{0};
-    std::atomic<std::uint64_t> cancelled{0};
-  };
-  AtomicStats stats_;
+  /// The counted fields of stats(), each read and written only through a
+  /// relaxed std::atomic_ref; stats() fills in the rest.
+  mutable ServerStats stats_;
 };
 
 }  // namespace pdc::lab

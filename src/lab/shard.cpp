@@ -54,12 +54,10 @@ std::string resolve_worker_bin(const std::string& configured) {
       "WorkerPoolConfig::worker_bin or PDCLAB_WORKER_BIN)");
 }
 
-Result cancelled_result(std::uint64_t job_id) {
-  Result result;
-  result.job_id = job_id;
-  result.exit_code = 130;  // the interrupted-job convention
-  result.error = "cancelled by tenant";
-  return result;
+/// SIGKILL a worker (it may already be dead) and wait for it.
+void kill_and_reap(pid_t pid) {
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, nullptr, 0);
 }
 
 }  // namespace
@@ -112,19 +110,15 @@ void WorkerPool::stop() {
     }
     if (slot.pid > 0) {
       // The worker exits on Bye/EOF; give it a short grace, then escalate.
-      int status = 0;
       bool reaped = false;
       for (int i = 0; i < 50; ++i) {
-        if (::waitpid(slot.pid, &status, WNOHANG) == slot.pid) {
+        if (::waitpid(slot.pid, nullptr, WNOHANG) == slot.pid) {
           reaped = true;
           break;
         }
         std::this_thread::sleep_for(ms(10));
       }
-      if (!reaped) {
-        ::kill(slot.pid, SIGKILL);
-        ::waitpid(slot.pid, &status, 0);
-      }
+      if (!reaped) kill_and_reap(slot.pid);
       slot.pid = -1;
     }
     slot.listener.close();
@@ -178,9 +172,7 @@ void WorkerPool::spawn_locked(Slot& slot) {
     slot.conn = std::move(conn);
     slot.pid = pid;
   } catch (...) {
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
+    kill_and_reap(pid);
     throw;
   }
   if (slot.ever_spawned) {
@@ -193,9 +185,7 @@ void WorkerPool::spawn_locked(Slot& slot) {
 void WorkerPool::reap(Slot& slot) {
   std::lock_guard lock(slot.mutex);
   if (slot.pid > 0) {
-    ::kill(slot.pid, SIGKILL);  // may already be dead; reap either way
-    int status = 0;
-    ::waitpid(slot.pid, &status, 0);
+    kill_and_reap(slot.pid);
     slot.pid = -1;
   }
   slot.conn.shutdown_both();
@@ -215,7 +205,7 @@ Result WorkerPool::execute(int slot_index, std::uint64_t job_id,
   for (int attempt = 1; attempt <= config_.max_attempts && !have_result;
        ++attempt) {
     if (slot.cancelled.load(std::memory_order_acquire)) {
-      result = cancelled_result(job_id);
+      result = protocol::cancelled_result(job_id);
       have_result = true;
       break;
     }
@@ -291,7 +281,7 @@ Result WorkerPool::execute(int slot_index, std::uint64_t job_id,
       reap(slot);
       trace::instant("lab.shard.worker_lost", "lab");
       if (slot.cancelled.load(std::memory_order_acquire)) {
-        result = cancelled_result(job_id);
+        result = protocol::cancelled_result(job_id);
         have_result = true;
       }
     }

@@ -373,6 +373,84 @@ TEST(LabServer, SuccessfulAuthResetsTheFailureCounter) {
   EXPECT_EQ(server.stats().lockouts, 0u);
 }
 
+TEST(LabServer, SubmitCancelAndReportShareOneAuthWall) {
+  // Submit, Cancel and Report pass the same token/firewall wall: a bad
+  // token on any verb is a strike toward one lockout, a good token on any
+  // verb clears the strikes, and a locked-out tenant is refused on all three.
+  auto clock = std::make_shared<std::atomic<double>>(0.0);
+  ServerConfig config = test_config();
+  config.firewall = {/*max_failures=*/3, /*lockout_minutes=*/30.0};
+  config.now_minutes = [clock] { return clock->load(); };
+  Server server(std::move(config));
+  server.start();
+  Client client(client_config(server.endpoint()));
+
+  protocol::Submit bad_submit = pi_submit();
+  bad_submit.token = "wrong";
+  const auto expect_bad_token = [](const std::optional<protocol::Reject>& r) {
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->code, RejectCode::BadToken);
+    EXPECT_EQ(r->reason, "wrong auth token");
+  };
+
+  // Two strikes from Cancel and Report; a good Report clears them (it then
+  // fails past the wall: this server has no store).
+  expect_bad_token(client.cancel(1, "wrong", "ada").reject);
+  expect_bad_token(client.report("wrong", "ada", "").reject);
+  auto report = client.report("hands-on", "ada", "");
+  ASSERT_TRUE(report.reject.has_value());
+  EXPECT_EQ(report.reject->code, RejectCode::BadRequest);
+
+  // Two more strikes; a good Cancel of an unknown job clears them.
+  expect_bad_token(client.cancel(1, "wrong", "ada").reject);
+  expect_bad_token(client.submit(bad_submit).reject);
+  auto cancel = client.cancel(999999, "hands-on", "ada");
+  ASSERT_TRUE(cancel.reject.has_value());
+  EXPECT_EQ(cancel.reject->code, RejectCode::BadRequest);
+  EXPECT_EQ(cancel.reject->reason, "no such job for this tenant");
+
+  // Two more strikes; a good Submit clears them.
+  expect_bad_token(client.report("wrong", "ada", "").reject);
+  expect_bad_token(client.cancel(1, "wrong", "ada").reject);
+  EXPECT_EQ(run_job(client, pi_submit()).exit_code, 0);
+  EXPECT_EQ(server.stats().lockouts, 0u);
+
+  // One strike per verb is the third strike.
+  expect_bad_token(client.submit(bad_submit).reject);
+  expect_bad_token(client.report("wrong", "ada", "").reject);
+  cancel = client.cancel(1, "wrong", "ada");
+  ASSERT_TRUE(cancel.reject.has_value());
+  EXPECT_EQ(cancel.reject->code, RejectCode::LockedOut);
+  EXPECT_EQ(cancel.reject->reason, "too many bad tokens; tenant locked out");
+  EXPECT_EQ(server.stats().lockouts, 1u);
+
+  // Locked out: the right token is refused on every verb, and further bad
+  // tokens do not count a second lockout.
+  const auto outcome = client.submit(pi_submit());
+  ASSERT_FALSE(outcome.accepted());
+  EXPECT_EQ(outcome.reject->code, RejectCode::LockedOut);
+  EXPECT_EQ(outcome.reject->reason,
+            "tenant is locked out (the VNC-firewall incident; wait for the "
+            "block to lapse or ask staff to unblock)");
+  cancel = client.cancel(1, "hands-on", "ada");
+  ASSERT_TRUE(cancel.reject.has_value());
+  EXPECT_EQ(cancel.reject->code, RejectCode::LockedOut);
+  EXPECT_EQ(cancel.reject->reason, "tenant is locked out");
+  report = client.report("hands-on", "ada", "");
+  ASSERT_TRUE(report.reject.has_value());
+  EXPECT_EQ(report.reject->code, RejectCode::LockedOut);
+  EXPECT_EQ(report.reject->reason, "tenant is locked out");
+  EXPECT_EQ(client.report("wrong", "ada", "").reject->code,
+            RejectCode::LockedOut);
+  EXPECT_EQ(server.stats().lockouts, 1u);
+
+  // The block lapses for every verb at once.
+  clock->store(31.0);
+  EXPECT_EQ(client.cancel(999999, "hands-on", "ada").reject->code,
+            RejectCode::BadRequest);
+  EXPECT_EQ(run_job(client, pi_submit(/*seed=*/8)).exit_code, 0);
+}
+
 TEST(LabServer, MidSubmitDisconnectLeavesTheServerServing) {
   Server server(test_config());
   server.start();
@@ -624,11 +702,19 @@ TEST(LabServer, StopDeliversATerminalResultForEveryAcceptedJob) {
   }
   server.stop();  // drains: runs or shutdown-fails everything accepted
 
+  std::uint64_t shutdown_results = 0;
   for (const std::uint64_t job_id : job_ids) {
     const protocol::Result result = client.wait_result(job_id);
     EXPECT_TRUE(result.exit_code == 0 || result.exit_code == 3)
         << "job " << job_id << " exit " << result.exit_code;
+    if (result.exit_code == 3) ++shutdown_results;
   }
+  // Every accepted job is counted once as completed or failed, and the only
+  // failures are the shutdown Results the client received.
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.accepted, job_ids.size());
+  EXPECT_EQ(stats.accepted, stats.completed + stats.failed);
+  EXPECT_EQ(stats.failed, shutdown_results);
 }
 
 TEST(LabServer, StopIsIdempotentAndUnlinksTheSocketPath) {
